@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"twocs/internal/hw"
+	"twocs/internal/parallel"
 	"twocs/internal/stream"
 )
 
@@ -121,11 +122,25 @@ func (c *cancelForwardSink) Close(tr stream.Trailer) error { return c.inner.Clos
 // produce zero invalid-JSON lines (NaN used to leak as a bare literal),
 // with the canceled-row count in the lines agreeing with the trailer,
 // and attached reducers keeping canceled rows out of their digests.
+//
+// The cancel fires inside the first chunk's emission. Cancellation
+// never abandons a claimed chunk and each worker holds one chunk until
+// it is emitted, so with fewer workers than chunks at least one chunk is
+// still unclaimed when the cancel lands: the stream is canceled, not
+// complete, however the workers are scheduled.
 func TestStreamGridPartialNDJSONAllValid(t *testing.T) {
 	a := newAnalyzer(t)
-	a.Workers = 4
 	hs, sls, tps := smallGrid()
 	evos := manyEvos(200)
+	total, err := GridRowCount(hs, sls, tps, 1, len(evos))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := int((total + parallel.DefaultStreamChunk - 1) / parallel.DefaultStreamChunk)
+	if chunks < 3 {
+		t.Fatalf("grid has %d chunks; need at least 3 for a parallel partial stream", chunks)
+	}
+	a.Workers = chunks - 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -185,6 +200,9 @@ func TestStreamGridPartialNDJSONAllValid(t *testing.T) {
 	}
 	if canceledLines != trailer.Canceled || canceledLines == 0 {
 		t.Fatalf("%d canceled lines, trailer canceled=%d", canceledLines, trailer.Canceled)
+	}
+	if canceledLines == lines {
+		t.Fatalf("all %d lines canceled; the stream must keep a finite prefix", lines)
 	}
 	// Digests exclude every canceled row.
 	if pareto.Canceled() != canceledLines || topk.Canceled() != canceledLines {

@@ -217,7 +217,7 @@ func TestStreamGridArgErrors(t *testing.T) {
 // grid would take — while the trailer confirms every point arrived.
 func TestStreamGridMillionPoints(t *testing.T) {
 	if testing.Short() {
-		t.Skip("million-point stream takes tens of seconds; run without -short")
+		t.Skip("million-point stream takes seconds; run without -short")
 	}
 	a := newAnalyzer(t)
 	hs, sls, tps := Table3Hs(), Table3SLs(), Table3TPs()

@@ -31,6 +31,8 @@ type Config struct {
 	// MaxAttempts bounds how many replica attempts one shard may
 	// consume before the sweep aborts (<= 0: 4). Resumed attempts
 	// count: a flaky fleet spends the budget, a healthy one never does.
+	// It also bounds the rounds the plan request makes over a busy
+	// fleet.
 	MaxAttempts int
 	// BaseBackoff and MaxBackoff shape the per-attempt exponential
 	// backoff a busy replica sits out (<= 0: 100ms and 5s). A parsed
@@ -362,43 +364,65 @@ func (c *Coordinator) fetchShard(ctx context.Context, spec serve.SweepRequest, r
 }
 
 // PlanTotal asks the fleet for the normalized spec and exact row count
-// of a sweep, trying replicas in order until one answers.
+// of a sweep, trying replicas in order until one answers. When none
+// answered and at least one turned the request away as busy (429 or
+// 503), it sits out the backoff, or the longest Retry-After asked for,
+// and asks the fleet again, up to MaxAttempts rounds.
 func (c *Coordinator) PlanTotal(ctx context.Context, req serve.SweepRequest) (serve.SweepRequest, int64, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return req, 0, err
 	}
 	var lastErr error
-	for _, base := range c.cfg.Replicas {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			strings.TrimRight(base, "/")+"/v1/plan", bytes.NewReader(body))
-		if err != nil {
-			return req, 0, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := c.cfg.Client.Do(hreq)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var plan serve.PlanResponse
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := bufio.NewReader(resp.Body).ReadString('\n')
-			resp.Body.Close()
-			err = fmt.Errorf("replica %s: %s: %s", base, resp.Status, strings.TrimSpace(msg))
-			if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusRequestEntityTooLarge {
-				return req, 0, err // every replica would reject it the same way
+	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
+		wait, busy := c.backoff(attempt), false
+		for _, base := range c.cfg.Replicas {
+			hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
+				strings.TrimRight(base, "/")+"/v1/plan", bytes.NewReader(body))
+			if err != nil {
+				return req, 0, err
 			}
-			lastErr = err
-			continue
+			hreq.Header.Set("Content-Type", "application/json")
+			resp, err := c.cfg.Client.Do(hreq)
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			var plan serve.PlanResponse
+			if resp.StatusCode != http.StatusOK {
+				msg, _ := bufio.NewReader(resp.Body).ReadString('\n')
+				resp.Body.Close()
+				err = fmt.Errorf("replica %s: %s: %s", base, resp.Status, strings.TrimSpace(msg))
+				switch resp.StatusCode {
+				case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+					return req, 0, err // every replica would reject it the same way
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					busy = true
+					if d, ok := retryAfterDelay(resp.Header.Get("Retry-After"), time.Now()); ok && d > wait {
+						wait = d
+					}
+				}
+				lastErr = err
+				continue
+			}
+			err = json.NewDecoder(resp.Body).Decode(&plan)
+			resp.Body.Close()
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			return plan.Spec, plan.Points, nil
 		}
-		err = json.NewDecoder(resp.Body).Decode(&plan)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
+		if !busy || attempt+1 == c.cfg.MaxAttempts {
+			break
 		}
-		return plan.Spec, plan.Points, nil
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return req, 0, ctx.Err()
+		}
 	}
 	return req, 0, fmt.Errorf("shardmap: no replica answered /v1/plan: %w", lastErr)
 }

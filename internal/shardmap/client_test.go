@@ -208,14 +208,14 @@ func TestFanResumeAfterKill(t *testing.T) {
 	}
 }
 
-// busyFirst rejects the first `times` sweep requests with 429 and the
-// given Retry-After header value.
-func busyFirst(times int32, retryAfter string) func(http.Handler) http.Handler {
+// busyFirst rejects the first `times` requests to path with 429 and
+// the given Retry-After header value.
+func busyFirst(path string, times int32, retryAfter string) func(http.Handler) http.Handler {
 	var left atomic.Int32
 	left.Store(times)
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/sweep" && left.Add(-1) >= 0 {
+			if r.URL.Path == path && left.Add(-1) >= 0 {
 				w.Header().Set("Retry-After", retryAfter)
 				http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 				return
@@ -231,7 +231,7 @@ func busyFirst(times int32, retryAfter string) func(http.Handler) http.Handler {
 func TestFanBusyBackoff(t *testing.T) {
 	want := singleNodeArtifact(t)
 	for _, retryAfter := range []string{"0", time.Now().UTC().Format(http.TimeFormat)} {
-		ts := newReplica(t, busyFirst(2, retryAfter))
+		ts := newReplica(t, busyFirst("/v1/sweep", 2, retryAfter))
 		got, res, err := fanOnce(t, Config{
 			Replicas:    []string{ts.URL},
 			ShardRows:   8,
@@ -250,6 +250,27 @@ func TestFanBusyBackoff(t *testing.T) {
 		if res.Retired != 0 {
 			t.Fatalf("Retry-After %q: busy replica was retired", retryAfter)
 		}
+	}
+}
+
+// TestFanBusyPlan: a fleet that turns /v1/plan away as busy is asked
+// again after the backoff instead of failing the sweep, which then
+// completes byte-identically.
+func TestFanBusyPlan(t *testing.T) {
+	want := singleNodeArtifact(t)
+	busy := newReplica(t, busyFirst("/v1/plan", 2, "0"))
+	alsoBusy := newReplica(t, busyFirst("/v1/plan", 2, "0"))
+	got, _, err := fanOnce(t, Config{
+		Replicas:    []string{busy.URL, alsoBusy.URL},
+		ShardRows:   8,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("busy plan: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("artifact after busy plan rounds differs from single-node")
 	}
 }
 

@@ -181,7 +181,7 @@ func finiteOnly(rows []Row) []Row {
 
 // TestReducersSkipCanceledRows: feeding a grid with interleaved
 // canceled rows must produce exactly the digests of the finite-only
-// stream — NaN rows neither join the frontier (dominates() is all-false
+// stream — NaN rows neither join the frontier (dominance is all-false
 // on NaN, so they used to), nor displace TopK rows via the index
 // tie-break, nor drag Marginals means — and each reducer counts what it
 // skipped.

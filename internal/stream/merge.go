@@ -8,7 +8,11 @@ import "fmt"
 // reducers shard-parallel — a sweep partitioned into [lo,hi) ranges can
 // reduce each shard locally (on the replica, or per fetched shard in
 // the fan-out client) and fold the digests together centrally, paying
-// O(digest) instead of O(rows) for everything after the first pass.
+// per digest row instead of per grid row for everything after the
+// first pass. TopK and Marginals fold in O(digest). A Pareto merge
+// pushes the other frontier through the batch path: one skyline flush
+// per paretoBatch rows folded, each O((F + B) log B) for a destination
+// frontier of F rows and a batch of B, not a frontier scan per row.
 //
 // Exactness: Pareto and TopK merges are *exact* — the frontier of a
 // union is the frontier of the union of frontiers, and betterRow is a
@@ -22,13 +26,16 @@ import "fmt"
 // both properties.
 
 // Merge folds another frontier into p as if its rows had streamed
-// through p. The other reducer is not modified and must not be p
-// itself — a self-merge would mutate the frontier under iteration.
+// through p: o's frontier and its unflushed batch go through p's batch
+// path. The other reducer is not modified (not even flushed) and must
+// not be p itself — a self-merge would flush p's frontier while
+// iterating it.
 func (p *Pareto) Merge(o *Pareto) {
-	for _, r := range o.frontier {
-		// Frontier rows are finite by construction; Emit re-runs the
-		// dominance scan against p's frontier and cannot fail.
-		_ = p.Emit(r)
+	for i := range o.frontier {
+		p.add(&o.frontier[i])
+	}
+	for i := range o.batch {
+		p.add(&o.batch[i])
 	}
 	p.canceled += o.canceled
 }

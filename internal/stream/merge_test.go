@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -62,6 +63,71 @@ func TestParetoMergeOracle(t *testing.T) {
 		diffRows(t, fmt.Sprintf("trial %d", trial), merged.Frontier(), single.Frontier())
 		if merged.Canceled() != single.Canceled() {
 			t.Fatalf("trial %d: merged canceled %d, single %d", trial, merged.Canceled(), single.Canceled())
+		}
+	}
+}
+
+// TestParetoMergeUnflushedSource: merging a reducer that still holds
+// unflushed rows folds those rows in too, and leaves the source exactly
+// as it was — neither flushed nor otherwise changed.
+func TestParetoMergeUnflushedSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	rows := withCanceled(rng, tradeoffGrid(rng, 3*paretoBatch, 20), 40)
+	half := len(rows) / 2
+
+	src, twin := NewPareto(), NewPareto()
+	emitAll(t, src, rows[half:])
+	emitAll(t, twin, rows[half:])
+	if len(src.frontier) == 0 || len(src.batch) == 0 {
+		t.Fatalf("source holds %d flushed and %d pending rows, want both nonzero",
+			len(src.frontier), len(src.batch))
+	}
+	frontier, batch, canceled := slices.Clone(src.frontier), slices.Clone(src.batch), src.Canceled()
+
+	dst := NewPareto()
+	emitAll(t, dst, rows[:half])
+	dst.Merge(src)
+
+	diffRows(t, "source frontier after merge", src.frontier, frontier)
+	diffRows(t, "source batch after merge", src.batch, batch)
+	if src.Canceled() != canceled {
+		t.Fatalf("merge changed the source's canceled count: %d -> %d", canceled, src.Canceled())
+	}
+	if src.Size() != twin.Size() {
+		t.Fatalf("source Size() = %d after merge, twin %d", src.Size(), twin.Size())
+	}
+	diffRows(t, "source Frontier() after merge", src.Frontier(), twin.Frontier())
+
+	diffRows(t, "merged", dst.Frontier(), bruteFrontier(finiteOnly(rows)))
+	if want := int64(len(rows) - len(finiteOnly(rows))); dst.Canceled() != want {
+		t.Fatalf("merged canceled %d, want %d", dst.Canceled(), want)
+	}
+}
+
+// TestParetoMergeOracleBatchSizes: the merge-vs-single-stream oracle
+// with shards one row short of, exactly at, and one row past a batch —
+// sources holding a partial batch, a full unflushed batch, and a flushed
+// frontier plus one pending row.
+func TestParetoMergeOracleBatchSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, shard := range []int{paretoBatch - 1, paretoBatch, paretoBatch + 1} {
+		rows := withCanceled(rng, tradeoffGrid(rng, 3*shard+rng.Intn(shard), 20), 30)
+
+		single := NewPareto()
+		emitAll(t, single, rows)
+
+		merged := NewPareto()
+		for lo := 0; lo < len(rows); lo += shard {
+			p := NewPareto()
+			emitAll(t, p, rows[lo:min(lo+shard, len(rows))])
+			merged.Merge(p)
+		}
+		label := fmt.Sprintf("shard %d", shard)
+		want := bruteFrontier(finiteOnly(rows))
+		diffRows(t, label+" single", single.Frontier(), want)
+		diffRows(t, label+" merged", merged.Frontier(), want)
+		if merged.Canceled() != single.Canceled() {
+			t.Fatalf("%s: merged canceled %d, single %d", label, merged.Canceled(), single.Canceled())
 		}
 	}
 }

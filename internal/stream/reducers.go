@@ -7,11 +7,12 @@ import (
 	"twocs/internal/units"
 )
 
-// This file holds the online reducers: sinks that aggregate a grid
-// stream into a bounded digest instead of writing it anywhere. All of
-// them are deterministic given the Sink ordering contract (rows arrive
-// in index order), so their digests are byte-stable at any worker
-// count. Attach them alongside a file writer with Multi.
+// This file and pareto.go hold the online reducers: sinks that
+// aggregate a grid stream into a bounded digest instead of writing it
+// anywhere. All of them are deterministic given the Sink ordering
+// contract (rows arrive in index order), so their digests are
+// byte-stable at any worker count. Attach them alongside a file writer
+// with Multi.
 //
 // Canceled rows — back-filled grid points with NaN objectives — are
 // skipped by every reducer and counted via Canceled(). NaN compares
@@ -20,86 +21,6 @@ import (
 // displace a real row in TopK (betterRow falls through to the Index
 // tie-break), and poison the Marginals means; skipping makes the
 // truncation visible in the digest instead of silently wrong.
-
-// ---------------------------------------------------------------------
-// Pareto frontier
-
-// Pareto maintains the 3-objective Pareto frontier of the stream:
-// the rows not dominated on (IterTime, CommFrac, MemBytes), all three
-// minimized. A row dominates another when it is no worse on every
-// objective and strictly better on at least one. The frontier is the
-// standard answer to "which configurations are worth looking at" in an
-// exhaustive design-space search: everything off it is beaten
-// outright by some on-frontier configuration.
-//
-// The frontier is held as a flat slice scanned per insertion — the
-// objectives are strongly correlated on real grids, so frontiers stay
-// small (hundreds at 10⁶ points) and the scan is cheaper than any
-// tree structure's constant factor.
-type Pareto struct {
-	frontier []Row
-	canceled int64
-}
-
-// NewPareto returns an empty frontier reducer.
-func NewPareto() *Pareto { return &Pareto{} }
-
-// dominates reports whether a is no worse than b on every objective and
-// strictly better on at least one.
-func dominates(a, b Row) bool {
-	if a.IterTime > b.IterTime || a.CommFrac > b.CommFrac || a.MemBytes > b.MemBytes {
-		return false
-	}
-	return a.IterTime < b.IterTime || a.CommFrac < b.CommFrac || a.MemBytes < b.MemBytes
-}
-
-// Emit implements Sink.
-//
-//lint:hotpath
-func (p *Pareto) Emit(r Row) error {
-	if !r.Finite() {
-		// NaN's all-false comparisons would make r undominatable: it
-		// would join the frontier and stay. Count it instead.
-		p.canceled++
-		return nil
-	}
-	keep := p.frontier[:0]
-	for _, f := range p.frontier {
-		if dominates(f, r) {
-			// r is beaten; the frontier is unchanged (nothing already on
-			// it can be dominated by a point that keeps r off it).
-			return nil
-		}
-		if !dominates(r, f) {
-			keep = append(keep, f)
-		}
-	}
-	// The append reuses the frontier's backing array (keep re-slices it)
-	// and grows only when a new non-dominated row exceeds its capacity —
-	// amortized over the frontier size, not paid per emitted row.
-	//lint:ignore hotalloc frontier growth is amortized over the (small) frontier, not per row
-	p.frontier = append(keep, r)
-	return nil
-}
-
-// Close implements Sink.
-func (p *Pareto) Close(Trailer) error { return nil }
-
-// Size returns the current frontier cardinality.
-func (p *Pareto) Size() int { return len(p.frontier) }
-
-// Canceled returns the number of canceled (non-finite) rows skipped.
-func (p *Pareto) Canceled() int64 { return p.canceled }
-
-// Frontier returns the non-dominated rows sorted by (IterTime, Index) —
-// a deterministic order independent of arrival interleaving. The slice
-// is a copy; the reducer keeps streaming.
-func (p *Pareto) Frontier() []Row {
-	out := make([]Row, len(p.frontier))
-	copy(out, p.frontier)
-	sort.Slice(out, func(i, j int) bool { return betterRow(out[i], out[j]) })
-	return out
-}
 
 // betterRow is the deterministic ranking the reducers share: smaller
 // IterTime first, grid index as the tie-break.
