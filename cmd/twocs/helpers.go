@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
+
 	"twocs/internal/core"
 	"twocs/internal/dist"
 	"twocs/internal/hw"
 	"twocs/internal/model"
 	"twocs/internal/opmodel"
+	"twocs/internal/parallel"
 	"twocs/internal/profile"
 	"twocs/internal/units"
 )
@@ -60,8 +63,8 @@ func runValidationSuite() ([]opmodel.Validation, error) {
 // configuration (at realistic layer counts), the strategy ledger holds
 // what the analyzer actually spent. The second return value is the ROI
 // speedup — a full iteration over just its backward pass, the fraction
-// ROI extraction avoids executing.
-func profilingSpeedup() (profile.SpeedupReport, float64, error) {
+// ROI extraction avoids executing. Both sweeps stop once ctx fires.
+func profilingSpeedup(ctx context.Context) (profile.SpeedupReport, float64, error) {
 	a, err := newAnalyzer()
 	if err != nil {
 		return profile.SpeedupReport{}, 0, err
@@ -70,15 +73,16 @@ func profilingSpeedup() (profile.SpeedupReport, float64, error) {
 	// layers at H=1K up to ~120 at H=20K); the exhaustive grid prices
 	// every configuration at its representative depth, fanned out over
 	// the sweep engine.
-	exhaustive, err := a.ExhaustiveCostStudy(
+	exhaustive, err := a.ExhaustiveCostStudyCtx(ctx,
 		core.Table3Hs(), core.Table3SLs(), core.Table3TPs(), 1, layersFor)
 	if err != nil {
 		return profile.SpeedupReport{}, 0, err
 	}
 	// The strategy side also executes the overlapped-analysis ROIs
-	// (§4.2.2 step 2a) — OverlappedSweep charges them to the ledger.
-	if _, err := a.OverlappedSweep(core.Table3Hs(), core.Table3SLs(), 16, hw.Identity()); err != nil {
-		return profile.SpeedupReport{}, 0, err
+	// (§4.2.2 step 2a) — OverlappedSweepCtx charges them to the
+	// ledger. Its partial grid is not reported, only the cause.
+	if _, err := a.OverlappedSweepCtx(ctx, core.Table3Hs(), core.Table3SLs(), 16, hw.Identity()); err != nil {
+		return profile.SpeedupReport{}, 0, parallel.Cause(err)
 	}
 	rep, err := profile.CompareStrategy(exhaustive, a.StrategyLedger)
 	if err != nil {

@@ -366,7 +366,7 @@ func dispatch(ctx context.Context, cmd string, rest []string, w io.Writer) error
 	case "validate":
 		return cmdValidate(rest, w)
 	case "speedup":
-		return cmdSpeedup(rest, w)
+		return cmdSpeedup(ctx, rest, w)
 	case "pipeline":
 		return cmdPipeline(rest, w)
 	case "precision":
@@ -706,12 +706,12 @@ func cmdValidate(args []string, w io.Writer) error {
 	return t.Render(w)
 }
 
-func cmdSpeedup(args []string, w io.Writer) error {
+func cmdSpeedup(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("speedup")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rep, roiSpeedup, err := profilingSpeedup()
+	rep, roiSpeedup, err := profilingSpeedup(ctx)
 	if err != nil {
 		return err
 	}

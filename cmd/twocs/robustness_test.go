@@ -63,6 +63,19 @@ func TestTimedOutSweepExitsPartial(t *testing.T) {
 	}
 }
 
+// TestTimedOutSpeedupStops: speedup prices two grids, and -timeout must
+// stop them rather than let the command run to completion.
+func TestTimedOutSpeedupStops(t *testing.T) {
+	var b strings.Builder
+	err := run([]string{"-timeout", "1ns", "speedup"}, &b)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("timed-out speedup: err = %v, want DeadlineExceeded", err)
+	}
+	if got := exitCode(err); got != 3 {
+		t.Fatalf("exitCode = %d, want 3", got)
+	}
+}
+
 // TestTimedOutRunFlushesTrace checks the deferred-flush satellite: a
 // run that dies on the -timeout deadline must still write its -trace
 // artifact, and the file must be the valid Chrome-trace JSON array a

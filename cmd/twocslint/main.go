@@ -8,12 +8,12 @@
 //	detrange   no map-ordered iteration feeding deterministic output
 //	lockcheck  '// guarded by <mu>' fields accessed only under the lock,
 //	           interprocedurally through same-receiver helper methods
-//	sweeppure  no mutation of captured state in parallel.Map closures
-//	simscratch no retention of simulator scratch state across runs
+//	sweeppure  no mutation of captured state in parallel.MapCtx,
+//	           MapPartial and StreamCtx task closures
 //	hotalloc   //lint:hotpath functions and everything they transitively
 //	           call are provably allocation-free in steady state
 //	ctxflow    context.Context threads through library call chains; no
-//	           context.Background()/TODO() outside main and facades
+//	           context.Background()/TODO() outside main packages
 //	sinkclose  stream.Sink, os.File and pprof acquisitions are released
 //	           on every path
 //
@@ -35,10 +35,6 @@
 //	    declares a function steady-state allocation-free; hotalloc
 //	    proves the claim over its whole transitive call closure, and
 //	    the allocs/op==0 benchmarks cross-check it dynamically.
-//	//lint:ctxfacade <reason>
-//	    allowlists a deliberate non-context compatibility entry point;
-//	    ctxflow requires the reason and stops severance propagation at
-//	    the facade.
 //	//lint:ignore <analyzer> <why this is safe>
 //	    suppresses one finding, on the offending line, the line above
 //	    it, or the head line of the innermost enclosing statement.

@@ -65,13 +65,17 @@ func TestOverlappedSweepCtxCanceledKeepsCoordinates(t *testing.T) {
 	}
 }
 
+// TestSweepCtxCompleteRunMatchesPlain: an uncanceled best-effort sweep
+// (MapPartial) returns exactly the points the strict evolution grid
+// (MapCtx) computes for the same scenario.
 func TestSweepCtxCompleteRunMatchesPlain(t *testing.T) {
 	a := newAnalyzer(t)
 	hs, sls, tps := smallGrid()
-	plain, err := a.SerializedSweep(hs, sls, tps, 1, hw.Identity())
+	grid, err := a.SerializedEvolutionGridCtx(context.Background(), hs, sls, tps, 1, []hw.Evolution{hw.Identity()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := grid[0]
 	viaCtx, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.Identity())
 	if err != nil {
 		t.Fatalf("uncanceled ctx sweep errored: %v", err)

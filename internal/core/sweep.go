@@ -91,30 +91,19 @@ type SerializedPoint struct {
 	Fraction float64
 }
 
-// SerializedSweep projects the serialized-communication fraction over the
-// (H × SL × TP) grid at fixed B under one hardware scenario — the paper's
-// 196-configuration projection from a single baseline (§4.2.4). Points
-// are projected concurrently under Analyzer.Workers and returned in grid
-// order. On failure the partial grid is discarded and the error the
-// sequential loop would have hit is returned; SerializedSweepCtx is the
-// best-effort, cancelable variant.
+// SerializedSweepCtx projects the serialized-communication fraction
+// over the (H × SL × TP) grid at fixed B under one hardware scenario —
+// the paper's 196-configuration projection from a single baseline
+// (§4.2.4). Points are projected concurrently under Analyzer.Workers
+// and returned in grid order.
 //
-//lint:ctxfacade non-Ctx compat shim; SerializedSweepCtx is the cancelable variant
-func (a *Analyzer) SerializedSweep(hs, sls, tps []int, b int, evo hw.Evolution) ([]SerializedPoint, error) {
-	out, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, b, evo)
-	if err != nil {
-		return nil, parallel.Cause(err)
-	}
-	return out, nil
-}
-
-// SerializedSweepCtx is SerializedSweep with cancellation and graceful
-// degradation: the sweep stops claiming grid points once ctx fires, and
-// instead of discarding a partially completed grid it returns the
-// full-length point slice plus a *parallel.PartialError saying which
-// entries are valid. Incomplete entries keep their grid coordinates
-// (H, SL, B, TP, FlopVsBW) so renderers can name them, with Fraction
-// set to NaN.
+// The sweep is cancelable and best-effort: it stops claiming grid
+// points once ctx fires, and instead of discarding a partially
+// completed grid it returns the full-length point slice plus a
+// *parallel.PartialError saying which entries are valid; its Cause is
+// the error the sequential loop would have hit. Incomplete entries
+// keep their grid coordinates (H, SL, B, TP, FlopVsBW) so renderers can
+// name them, with Fraction set to NaN.
 func (a *Analyzer) SerializedSweepCtx(ctx context.Context, hs, sls, tps []int, b int, evo hw.Evolution) ([]SerializedPoint, error) {
 	defer telemetry.Active().Start("core.SerializedSweep").End()
 	tasks, err := enumerateSerialized(hs, sls, tps, b)
@@ -152,21 +141,13 @@ func (a *Analyzer) SerializedSweepCtx(ctx context.Context, hs, sls, tps []int, b
 	return out, err
 }
 
-// SerializedEvolutionGrid runs the Figure 12 study: the full serialized
-// sweep at every hardware-evolution scenario, sharing one memoized
-// timer stack per scenario and one operator graph per configuration
-// shape across the whole (evolution × H × SL × TP) space. Results are
-// ordered scenario-major, each scenario's points in grid order.
-//
-//lint:ctxfacade non-Ctx compat shim; SerializedEvolutionGridCtx is the cancelable variant
-func (a *Analyzer) SerializedEvolutionGrid(hs, sls, tps []int, b int, evos []hw.Evolution) ([][]SerializedPoint, error) {
-	return a.SerializedEvolutionGridCtx(context.Background(), hs, sls, tps, b, evos)
-}
-
-// SerializedEvolutionGridCtx is SerializedEvolutionGrid with
-// cancellation: once ctx fires the grid stops claiming points and
-// returns ctx's error (strict — scenario slices are only meaningful
-// complete).
+// SerializedEvolutionGridCtx runs the Figure 12 study: the full
+// serialized sweep at every hardware-evolution scenario, sharing one
+// memoized timer stack per scenario and one operator graph per
+// configuration shape across the whole (evolution × H × SL × TP) space.
+// Results are ordered scenario-major, each scenario's points in grid
+// order. Once ctx fires the grid stops claiming points and returns
+// ctx's error (strict — scenario slices are only meaningful complete).
 func (a *Analyzer) SerializedEvolutionGridCtx(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution) ([][]SerializedPoint, error) {
 	defer telemetry.Active().Start("core.SerializedEvolutionGrid").End()
 	if len(evos) == 0 {
@@ -229,28 +210,17 @@ func enumerateOverlapped(hs, slbs []int, tp int) ([]serializedTask, error) {
 	return tasks, nil
 }
 
-// OverlappedSweep measures ROI overlap percentages over an (H × SL·B)
-// grid at fixed TP under one hardware scenario. B is folded into SL·B by
-// holding B=1 and sweeping SL — the reduction the algorithmic analysis
-// licenses (slack = O(SL·B), §4.2.1). ROIs execute concurrently under
-// Analyzer.Workers; the ledger totals are order-independent, and the
-// returned points are in grid order. OverlappedSweepCtx is the
-// best-effort, cancelable variant.
+// OverlappedSweepCtx measures ROI overlap percentages over an
+// (H × SL·B) grid at fixed TP under one hardware scenario. B is folded
+// into SL·B by holding B=1 and sweeping SL — the reduction the
+// algorithmic analysis licenses (slack = O(SL·B), §4.2.1). ROIs execute
+// concurrently under Analyzer.Workers; the ledger totals are
+// order-independent, and the returned points are in grid order.
 //
-//lint:ctxfacade non-Ctx compat shim; OverlappedSweepCtx is the cancelable variant
-func (a *Analyzer) OverlappedSweep(hs, slbs []int, tp int, evo hw.Evolution) ([]OverlappedPoint, error) {
-	out, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, tp, evo)
-	if err != nil {
-		return nil, parallel.Cause(err)
-	}
-	return out, nil
-}
-
-// OverlappedSweepCtx is OverlappedSweep with cancellation and graceful
-// degradation, mirroring SerializedSweepCtx: a canceled or failing sweep
-// returns the completed prefix plus a *parallel.PartialError, with
-// incomplete entries keeping their grid coordinates and Percent set to
-// NaN.
+// Cancellation and failure mirror SerializedSweepCtx: a canceled or
+// failing sweep returns the completed prefix plus a
+// *parallel.PartialError, with incomplete entries keeping their grid
+// coordinates and Percent set to NaN.
 func (a *Analyzer) OverlappedSweepCtx(ctx context.Context, hs, slbs []int, tp int, evo hw.Evolution) ([]OverlappedPoint, error) {
 	defer telemetry.Active().Start("core.OverlappedSweep").End()
 	tasks, err := enumerateOverlapped(hs, slbs, tp)
@@ -284,19 +254,11 @@ func (a *Analyzer) OverlappedSweepCtx(ctx context.Context, hs, slbs []int, tp in
 	return out, err
 }
 
-// OverlappedEvolutionGrid runs the Figure 13 study: the overlapped
+// OverlappedEvolutionGridCtx runs the Figure 13 study: the overlapped
 // sweep at every hardware-evolution scenario. Each scenario's ROIs
-// execute on its memoized substrate; results are ordered scenario-major,
-// each scenario's points in grid order.
-//
-//lint:ctxfacade non-Ctx compat shim; OverlappedEvolutionGridCtx is the cancelable variant
-func (a *Analyzer) OverlappedEvolutionGrid(hs, slbs []int, tp int, evos []hw.Evolution) ([][]OverlappedPoint, error) {
-	return a.OverlappedEvolutionGridCtx(context.Background(), hs, slbs, tp, evos)
-}
-
-// OverlappedEvolutionGridCtx is OverlappedEvolutionGrid with
-// cancellation: once ctx fires the grid stops claiming points and
-// returns ctx's error.
+// execute on its memoized substrate; results are ordered
+// scenario-major, each scenario's points in grid order. Once ctx fires
+// the grid stops claiming points and returns ctx's error.
 func (a *Analyzer) OverlappedEvolutionGridCtx(ctx context.Context, hs, slbs []int, tp int, evos []hw.Evolution) ([][]OverlappedPoint, error) {
 	defer telemetry.Active().Start("core.OverlappedEvolutionGrid").End()
 	if len(evos) == 0 {

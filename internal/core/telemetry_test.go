@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"twocs/internal/hw"
@@ -23,7 +24,7 @@ func collectSweepTelemetry(t *testing.T, a *Analyzer, workers int) string {
 	telemetry.Enable(col)
 	defer telemetry.Enable(nil)
 	a.Workers = workers
-	if _, err := a.OverlappedSweep(hs, slbs, 16, hw.Identity()); err != nil {
+	if _, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -46,7 +47,7 @@ func TestTelemetrySnapshotWorkerCountInvariant(t *testing.T) {
 	// cache without telemetry, so both measured runs see identical cache
 	// state (the op-graph cache is shared across tests in this binary).
 	hs, slbs := telemetryTestGrid()
-	if _, err := a.OverlappedSweep(hs, slbs, 16, hw.Identity()); err != nil {
+	if _, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,7 +75,7 @@ func TestTelemetryDisabledSweepIsUninstrumented(t *testing.T) {
 	telemetry.Enable(nil)
 	a := newAnalyzer(t)
 	hs, slbs := telemetryTestGrid()
-	if _, err := a.OverlappedSweep(hs, slbs, 16, hw.Identity()); err != nil {
+	if _, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 	if tel := telemetry.Active(); tel != nil {

@@ -23,8 +23,8 @@ type ZooTimelineRow struct {
 	Frac1x, Frac2x, Frac4x float64
 }
 
-// ZooTimeline projects the serialized-communication share of every zoo
-// model at its representative TP degree across the paper's hardware
+// ZooTimelineCtx projects the serialized-communication share of every
+// zoo model at its representative TP degree across the paper's hardware
 // scenarios — the "communication's share keeps growing" narrative
 // (Sections 1 and 8) as one table over real model history.
 //
@@ -32,14 +32,8 @@ type ZooTimelineRow struct {
 // so each model is projected through its proportional stand-in from
 // FutureConfig, preserving H, SL, B and layer count. Models are
 // projected concurrently under Analyzer.Workers, in timeline order.
-//
-//lint:ctxfacade non-Ctx compat shim; ZooTimelineCtx is the cancelable variant
-func (a *Analyzer) ZooTimeline(entries []model.ZooEntry) ([]ZooTimelineRow, error) {
-	return a.ZooTimelineCtx(context.Background(), entries)
-}
-
-// ZooTimelineCtx is ZooTimeline with cancellation: once ctx fires the
-// study stops claiming models and returns ctx's error.
+// Once ctx fires the study stops claiming models and returns ctx's
+// error.
 func (a *Analyzer) ZooTimelineCtx(ctx context.Context, entries []model.ZooEntry) ([]ZooTimelineRow, error) {
 	defer telemetry.Active().Start("core.ZooTimeline").End()
 	if len(entries) == 0 {

@@ -31,10 +31,6 @@ type CompiledIteration struct {
 	tp    int
 }
 
-// Program returns the compiled schedule. Callers must treat it (and
-// the Ops slice it exposes) as read-only.
-func (c *CompiledIteration) Program() *sim.Program { return c.prog }
-
 // Refill prices every op of the compiled schedule under timer, writing
 // into dst (grown if needed) and returning the filled slice — the
 // duration-refill hook of the compile-once/re-time-many loop. The

@@ -160,7 +160,7 @@ func TestRefillValidation(t *testing.T) {
 		t.Errorf("expected TP-mismatch error, got %v", err)
 	}
 	// Refill must reuse a caller buffer of sufficient capacity.
-	buf := make([]units.Seconds, 0, c.Program().NumOps())
+	buf := make([]units.Seconds, 0, c.prog.NumOps())
 	out, err := c.Refill(timer, buf)
 	if err != nil {
 		t.Fatal(err)

@@ -6,21 +6,14 @@ import (
 	"strings"
 )
 
-// CtxFlow enforces the cancellation contract the robustness layer (PR
-// 4) established: work started on behalf of a caller must be stoppable
-// by that caller. Three rules:
+// CtxFlow enforces the cancellation contract the robustness layer
+// established: work started on behalf of a caller must be stoppable by
+// that caller. Three rules:
 //
 //   - BG: context.Background() / context.TODO() are forbidden in
 //     library packages (anything that is not a main package and not a
-//     test file). A function may opt out by declaring itself a facade
-//     in its doc comment:
-//
-//     //lint:ctxfacade <reason>
-//
-//     The reason is mandatory — the annotation is an explicit allowlist
-//     entry, reviewed like code, not a blanket ignore. Facades exist
-//     for the internal/core compat shims and parallel.Map, whose
-//     callers predate the Ctx API.
+//     test file). There is no allowlist: a library function that needs
+//     a context takes one.
 //
 //   - DROP: a function that has a context parameter but passes a
 //     context-taking callee an argument containing no context value
@@ -28,13 +21,13 @@ import (
 //     cancellation signal on the floor.
 //
 //   - SEVER (interprocedural): an exported function with a context
-//     parameter must not call a context-free, non-facade callee that
-//     transitively reaches context-taking machinery — the chain is
-//     severed at that hop, and cancellation can never arrive. The
-//     flow graph's Severs walk proves reachability.
+//     parameter must not call a context-free callee that transitively
+//     reaches context-taking machinery — the chain is severed at that
+//     hop, and cancellation can never arrive. The flow graph's Severs
+//     walk proves reachability.
 var CtxFlow = &Analyzer{
 	Name:      "ctxflow",
-	Doc:       "context.Context must thread through to every blocking callee; Background/TODO only behind //lint:ctxfacade",
+	Doc:       "context.Context must thread through to every blocking callee; no Background/TODO in library code",
 	Run:       runCtxFlow,
 	NeedsFlow: true,
 }
@@ -53,17 +46,13 @@ func runCtxFlow(p *Pass) {
 			}
 			s := fn.Summary
 
-			if s.Facade && s.FacadeReason == "" {
-				p.Report(fd.Pos(), "//lint:ctxfacade needs a reason: \"//lint:ctxfacade <why no caller context exists>\"")
-			}
-
 			// BG: manufactured contexts in library code.
-			if library && !s.Facade {
+			if library {
 				for _, pos := range s.BackgroundCalls {
 					if p.InTestFile(pos) {
 						continue
 					}
-					p.Report(pos, "context.Background/TODO in library code severs caller cancellation; thread a ctx parameter or annotate the function //lint:ctxfacade <reason>")
+					p.Report(pos, "context.Background/TODO in library code severs caller cancellation; thread a ctx parameter")
 				}
 			}
 
@@ -86,8 +75,8 @@ func runCtxFlow(p *Pass) {
 					continue
 				}
 				// SEVER: context-free hop into context-taking machinery.
-				if c.Callee != nil && !c.Callee.Summary.Facade && p.Flow.Severs(c.Callee) {
-					p.Report(c.Pos(), "%s has a context but calls %s, which reaches context-taking code without one; add a ctx parameter to %s or annotate it //lint:ctxfacade", s.ShortName, c.Callee.Summary.ShortName, c.Callee.Summary.ShortName)
+				if c.Callee != nil && p.Flow.Severs(c.Callee) {
+					p.Report(c.Pos(), "%s has a context but calls %s, which reaches context-taking code without one; add a ctx parameter to %s", s.ShortName, c.Callee.Summary.ShortName, c.Callee.Summary.ShortName)
 				}
 			}
 		}

@@ -50,7 +50,7 @@ type Graph struct {
 // Func is one function with a body in the analyzed set.
 type Func struct {
 	// Key is the canonical identity, e.g.
-	// "(*twocs/internal/sim.Program).RunReuse".
+	// "(*twocs/internal/sim.Program).Run".
 	Key  string
 	Obj  *types.Func
 	Decl *ast.FuncDecl
@@ -69,7 +69,7 @@ func (f *Func) Name() string {
 	if i := strings.LastIndex(key, "/"); i >= 0 {
 		key = key[i+1:]
 	}
-	// "(*sim.Program).RunReuse" after path strip reads fine; drop a
+	// "(*sim.Program).Run" after path strip reads fine; drop a
 	// leading "pkg." on plain functions.
 	if !strings.HasPrefix(key, "(") {
 		if i := strings.Index(key, "."); i >= 0 {

@@ -66,11 +66,10 @@ func (c *Call) TakesCtx() bool {
 
 // Severs reports whether calling f without a context severs a
 // cancellation chain: f (or something it reaches through in-set,
-// non-facade, context-free callees) invokes a context-taking function,
-// which — lacking a caller context — can only have manufactured one.
-// Propagation stops at facades (designated context boundaries) and at
-// context-taking callees in the chain (they receive whatever f passes,
-// which the DROP rule checks separately).
+// context-free callees) invokes a context-taking function, which —
+// lacking a caller context — can only have manufactured one.
+// Propagation stops at context-taking callees in the chain (they
+// receive whatever f passes, which the DROP rule checks separately).
 func (g *Graph) Severs(f *Func) bool {
 	if g.severs == nil {
 		g.severs = make(map[*Func]severState)
@@ -104,7 +103,7 @@ func (g *Graph) seversWalk(f *Func) bool {
 			result = true
 			break
 		}
-		if c.Callee != nil && !c.Callee.Summary.Facade && g.seversWalk(c.Callee) {
+		if c.Callee != nil && g.seversWalk(c.Callee) {
 			result = true
 			break
 		}

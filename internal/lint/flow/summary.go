@@ -79,8 +79,8 @@ type paramForward struct {
 // Summary is the per-function fact sheet the interprocedural analyzers
 // consume.
 type Summary struct {
-	// ShortName is a diagnostic-friendly name: "Program.RunReuse",
-	// "parallel.Map".
+	// ShortName is a diagnostic-friendly name: "Program.Run",
+	// "parallel.MapCtx".
 	ShortName string
 
 	// HasCtx reports a context.Context parameter; CtxParam is its
@@ -91,12 +91,8 @@ type Summary struct {
 	// ReturnsError reports an error in the result list.
 	ReturnsError bool
 
-	// Hotpath is the //lint:hotpath annotation; Facade the
-	// //lint:ctxfacade one. FacadeReason is the annotation's mandatory
-	// justification ("" when missing — ctxflow reports that).
-	Hotpath      bool
-	Facade       bool
-	FacadeReason string
+	// Hotpath is the //lint:hotpath annotation.
+	Hotpath bool
 
 	// BackgroundCalls are context.Background()/context.TODO() call
 	// positions in the body.
@@ -115,21 +111,21 @@ type Summary struct {
 	forwards     []paramForward
 }
 
-// directive scans a function's doc comment for a //lint:<name> marker,
-// returning presence and the rest of the line.
-func directive(doc *ast.CommentGroup, name string) (bool, string) {
+// directive reports whether a function's doc comment carries a
+// //lint:<name> marker.
+func directive(doc *ast.CommentGroup, name string) bool {
 	if doc == nil {
-		return false, ""
+		return false
 	}
 	prefix := "//lint:" + name
 	for _, c := range doc.List {
 		if rest, ok := strings.CutPrefix(c.Text, prefix); ok {
 			if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-				return true, strings.TrimSpace(rest)
+				return true
 			}
 		}
 	}
-	return false, ""
+	return false
 }
 
 // summarize fills f.Summary and f.Calls by walking the body once.
@@ -154,8 +150,7 @@ func summarize(f *Func) {
 			s.ReturnsError = true
 		}
 	}
-	s.Hotpath, _ = directive(f.Decl.Doc, "hotpath")
-	s.Facade, s.FacadeReason = directive(f.Decl.Doc, "ctxfacade")
+	s.Hotpath = directive(f.Decl.Doc, "hotpath")
 
 	w := &walker{
 		f:         f,

@@ -308,7 +308,6 @@ func All() []*Analyzer {
 		DetRange,
 		LockCheck,
 		SweepPure,
-		SimScratch,
 		HotAlloc,
 		CtxFlow,
 		SinkClose,

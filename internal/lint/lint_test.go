@@ -119,9 +119,6 @@ func TestFloatCmpFixture(t *testing.T)  { runFixture(t, FloatCmp, "floatcmp") }
 func TestDetRangeFixture(t *testing.T)  { runFixture(t, DetRange, "detrange") }
 func TestLockCheckFixture(t *testing.T) { runFixture(t, LockCheck, "lockcheck") }
 func TestSweepPureFixture(t *testing.T) { runFixture(t, SweepPure, "sweeppure") }
-
-func TestSimScratchFixture(t *testing.T) { runFixture(t, SimScratch, "simscratch") }
-
 func TestHotAllocFixture(t *testing.T)  { runFixture(t, HotAlloc, "hotalloc") }
 func TestCtxFlowFixture(t *testing.T)   { runFixture(t, CtxFlow, "ctxflow") }
 func TestSinkCloseFixture(t *testing.T) { runFixture(t, SinkClose, "sinkclose") }

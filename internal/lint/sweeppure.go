@@ -6,9 +6,11 @@ import (
 )
 
 // SweepPure enforces the purity contract of the parallel sweep engine:
-// a closure handed to parallel.Map, MapCtx, MapPartial, or FilterMap
+// the task closure handed to parallel.MapCtx, MapPartial, or StreamCtx
 // runs on many goroutines at once, so it must communicate only through
-// its return value. The analyzer flags, anywhere inside such a closure
+// its return value. StreamCtx's emit closure is not checked: the engine
+// never runs it concurrently with itself, so it may accumulate into
+// captured state. The analyzer flags, anywhere inside a task closure
 // (nested literals included):
 //
 //   - assignments, ++/--, and op= on variables captured from the
@@ -26,11 +28,14 @@ import (
 // //lint:ignore sweeppure and name the lock.
 var SweepPure = &Analyzer{
 	Name: "sweeppure",
-	Doc:  "flags closures passed to parallel.Map/MapCtx/MapPartial/FilterMap that mutate captured variables",
+	Doc:  "flags task closures passed to parallel.MapCtx/MapPartial/StreamCtx that mutate captured variables",
 	Run:  runSweepPure,
 }
 
 const parallelPathSuffix = "internal/parallel"
+
+// taskArg is the argument index of each engine's task closure.
+var taskArg = map[string]int{"MapCtx": 3, "MapPartial": 3, "StreamCtx": 4}
 
 func runSweepPure(p *Pass) {
 	for _, f := range p.Files {
@@ -43,15 +48,11 @@ func runSweepPure(p *Pass) {
 			if fn == nil || fn.Pkg() == nil || !hasSuffixPath(fn.Pkg().Path(), parallelPathSuffix) {
 				return true
 			}
-			switch fn.Name() {
-			case "Map", "MapCtx", "MapPartial", "FilterMap":
-			default:
+			arg, ok := taskArg[fn.Name()]
+			if !ok || len(call.Args) <= arg {
 				return true
 			}
-			if len(call.Args) == 0 {
-				return true
-			}
-			lit, ok := unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
+			lit, ok := unparen(call.Args[arg]).(*ast.FuncLit)
 			if !ok {
 				return true
 			}

@@ -1,6 +1,6 @@
 // Package ctxflow exercises the ctxflow analyzer: manufactured
-// contexts in library code, the facade allowlist, dropped contexts at
-// call sites, and the interprocedural severed-chain rule.
+// contexts in library code, dropped contexts at call sites, and the
+// interprocedural severed-chain rule.
 package ctxflow
 
 import (
@@ -22,18 +22,10 @@ func makesBackground() {
 	_ = ctx
 }
 
-// A declared facade may manufacture its context.
-//
-//lint:ctxfacade compat shim for pre-Ctx callers, no caller context exists
-func facade() {
-	run(context.Background())
-}
-
-// A facade annotation without a reason is itself a finding.
-//
-//lint:ctxfacade
-func badFacade() { // want "needs a reason"
-	run(context.Background())
+// A non-Ctx compat wrapper manufactures its context; no annotation
+// exempts it.
+func shim() {
+	run(context.Background()) // want "severs caller cancellation"
 }
 
 // DROP: a context-bearing function passing nil where a context belongs.
@@ -63,8 +55,8 @@ func helper() {
 	run(context.TODO()) // want "severs caller cancellation"
 }
 
-// Calling through a facade is sanctioned — that is what facades are
-// for.
-func throughFacade(ctx context.Context) {
-	facade()
+// Calling such a wrapper from a context-bearing function severs the
+// chain like any other context-free hop.
+func throughShim(ctx context.Context) {
+	shim() // want "reaches context-taking code without one"
 }

@@ -1,6 +1,7 @@
 // Package sweeppure exercises the sweeppure analyzer against the real
-// twocs/internal/parallel engine: closures handed to Map, MapCtx,
-// MapPartial, or FilterMap must not mutate captured state.
+// twocs/internal/parallel engine: task closures handed to MapCtx,
+// MapPartial, or StreamCtx must not mutate captured state; StreamCtx's
+// serialized emit closure may.
 package sweeppure
 
 import (
@@ -11,29 +12,29 @@ import (
 
 // --- positives ---
 
-func sumRace(n int) (float64, error) {
+func sumRace(ctx context.Context, n int) (float64, error) {
 	var total float64
-	_, err := parallel.Map(0, n, func(i int) (float64, error) {
+	_, err := parallel.MapCtx(ctx, 0, n, func(_ context.Context, i int) (float64, error) {
 		total += float64(i) // want "mutates captured variable"
 		return total, nil
 	})
 	return total, err
 }
 
-func mapWriteRace(n int) (map[int]bool, error) {
+func mapWriteRace(ctx context.Context, n int) (map[int]bool, error) {
 	seen := make(map[int]bool)
-	_, err := parallel.Map(0, n, func(i int) (int, error) {
+	_, err := parallel.MapCtx(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		seen[i] = true // want "map write"
 		return i, nil
 	})
 	return seen, err
 }
 
-func filterCounterRace(n int) ([]int, error) {
+func filterCounterRace(ctx context.Context, n int) ([]int, error) {
 	count := 0
-	return parallel.FilterMap(0, n, func(i int) (int, bool, error) {
+	return parallel.MapPartial(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		count++ // want "mutates captured variable"
-		return count, i%2 == 0, nil
+		return i, nil
 	})
 }
 
@@ -56,19 +57,30 @@ func partialCounterRace(ctx context.Context, n int) ([]int, error) {
 
 type tally struct{ hits int }
 
-func fieldWriteRace(n int) (*tally, error) {
+func fieldWriteRace(ctx context.Context, n int) (*tally, error) {
 	t := &tally{}
-	_, err := parallel.Map(0, n, func(i int) (int, error) {
+	_, err := parallel.MapCtx(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		t.hits++ // want "write through field or pointer"
 		return i, nil
 	})
 	return t, err
 }
 
+func streamTaskRace(ctx context.Context, n int) (int, error) {
+	count := 0
+	err := parallel.StreamCtx(ctx, 0, n, 0,
+		func(_ context.Context, i int) (int, error) {
+			count++ // want "mutates captured variable"
+			return i, nil
+		},
+		func(int, []int) error { return nil })
+	return count, err
+}
+
 // --- negatives ---
 
-func pureOK(xs []float64) ([]float64, error) {
-	return parallel.Map(0, len(xs), func(i int) (float64, error) {
+func pureOK(ctx context.Context, xs []float64) ([]float64, error) {
+	return parallel.MapPartial(ctx, 0, len(xs), func(_ context.Context, i int) (float64, error) {
 		return xs[i] * 2, nil
 	})
 }
@@ -79,8 +91,8 @@ func ctxPureOK(ctx context.Context, xs []float64) ([]float64, error) {
 	})
 }
 
-func localStateOK(n int) ([]int, error) {
-	return parallel.Map(0, n, func(i int) (int, error) {
+func localStateOK(ctx context.Context, n int) ([]int, error) {
+	return parallel.MapCtx(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		acc := 0
 		for j := 0; j < i; j++ {
 			acc += j
@@ -89,9 +101,20 @@ func localStateOK(n int) ([]int, error) {
 	})
 }
 
-func ignoredWithReason(n int) (int, error) {
+func streamEmitOK(ctx context.Context, n int) (int, error) {
+	rows := 0
+	err := parallel.StreamCtx(ctx, 0, n, 0,
+		func(_ context.Context, i int) (int, error) { return i, nil },
+		func(_ int, vals []int) error {
+			rows += len(vals)
+			return nil
+		})
+	return rows, err
+}
+
+func ignoredWithReason(ctx context.Context, n int) (int, error) {
 	calls := 0
-	_, err := parallel.Map(1, n, func(i int) (int, error) {
+	_, err := parallel.MapCtx(ctx, 1, n, func(_ context.Context, i int) (int, error) {
 		//lint:ignore sweeppure single worker requested; fixture exercises suppression
 		calls++
 		return i, nil

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -31,7 +32,7 @@ func TestMapChunkedCompleteCoverage(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 257, 1024} {
 		for _, workers := range []int{2, 4, 7} {
 			var calls atomic.Int64
-			out, err := Map(workers, n, func(i int) (int, error) {
+			out, err := MapCtx(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
 				calls.Add(1)
 				return i * i, nil
 			})
@@ -58,7 +59,7 @@ func TestMapChunkedLowestIndexAcrossChunks(t *testing.T) {
 	const n = 1024 // workers=2 -> chunk 64: indices 5 and 700 are claims apart
 	release := make(chan struct{})
 	var sawLate atomic.Bool
-	_, err := Map(2, n, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 2, n, func(_ context.Context, i int) (int, error) {
 		switch {
 		case i == 700:
 			// Fail fast and let the early chunk's worker proceed only
@@ -88,7 +89,7 @@ func TestMapChunkedLowestIndexAcrossChunks(t *testing.T) {
 // TestMapChunkedPanicIndex checks a panic mid-chunk is attributed to
 // its own index, not the chunk boundary.
 func TestMapChunkedPanicIndex(t *testing.T) {
-	_, err := Map(2, 1024, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 2, 1024, func(_ context.Context, i int) (int, error) {
 		if i == 37 {
 			panic("kaboom")
 		}

@@ -71,12 +71,28 @@ func Cause(err error) error {
 	return err
 }
 
-// MapCtx is Map with a context threaded through: the sweep stops
-// claiming new indices once ctx is canceled or its deadline passes
-// (in-flight evaluations finish), and fn receives the context so
-// individual tasks can honor it too. On any failure the results are
-// discarded, matching Map: a task error (lowest index, panics
-// contained) takes precedence; a cancellation with no task failure
+// MapCtx evaluates fn(ctx, 0) .. fn(ctx, n-1) using at most
+// Workers(workers) goroutines and returns the results indexed like the
+// inputs — the output slice is deterministic regardless of worker count
+// or scheduling. fn must be safe for concurrent invocation when more
+// than one worker is requested.
+//
+// Error semantics match the sequential loop: on failure MapCtx discards
+// the results and returns the error of the lowest failing index. A task
+// that panics does not kill the process; the panic is contained and
+// reported as a *PanicError at that task's index, competing for
+// lowest-index like any other error. The first observed failure cancels
+// the sweep — no new chunks are claimed — but already-claimed chunks run
+// to completion (or to their own, lower-index error), which is what
+// makes the lowest-index guarantee hold: chunks are claimed
+// monotonically, so every index below a failing one is either complete
+// or inside a claimed chunk whose worker will still visit it when the
+// failure is recorded.
+//
+// The sweep also stops claiming new indices once ctx is canceled or its
+// deadline passes (in-flight evaluations finish), and fn receives the
+// context so individual tasks can honor it too. A task error takes
+// precedence over a cancellation; a cancellation with no task failure
 // returns ctx.Err(). A context that fires only after every task
 // completed is a success.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(context.Context, int) (T, error)) ([]T, error) {

@@ -15,7 +15,7 @@ func TestMapContainsPanicAsLowestIndexError(t *testing.T) {
 	// *PanicError naming the grid index, and the lowest-index guarantee
 	// must hold against both other panics and ordinary errors.
 	for _, workers := range []int{1, 2, 8} {
-		_, err := Map(workers, 64, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), workers, 64, func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 9:
 				panic("boom")
@@ -45,15 +45,15 @@ func TestMapContainsPanicAsLowestIndexError(t *testing.T) {
 func TestMapPanicEqualsSequential(t *testing.T) {
 	// Sequential-equivalence for panics: parallel runs report the same
 	// (lowest) panic index the sequential loop hits first.
-	fn := func(i int) (int, error) {
+	fn := func(_ context.Context, i int) (int, error) {
 		if i%13 == 5 {
 			panic(fmt.Sprintf("p@%d", i))
 		}
 		return i, nil
 	}
-	_, seqErr := Map(1, 50, fn)
+	_, seqErr := MapCtx(context.Background(), 1, 50, fn)
 	for _, workers := range []int{2, 4, 16} {
-		_, parErr := Map(workers, 50, fn)
+		_, parErr := MapCtx(context.Background(), workers, 50, fn)
 		if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
 			t.Fatalf("workers=%d: parallel %v != sequential %v", workers, parErr, seqErr)
 		}

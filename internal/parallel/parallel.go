@@ -36,7 +36,7 @@ func Workers(n int) int {
 	return runtime.NumCPU()
 }
 
-// checkArgs validates the shared Map/MapCtx/MapPartial arguments.
+// checkArgs validates the shared MapCtx/MapPartial/StreamCtx arguments.
 func checkArgs(n int, fnNil bool) error {
 	if n < 0 {
 		return fmt.Errorf("parallel: negative task count %d", n)
@@ -45,61 +45,6 @@ func checkArgs(n int, fnNil bool) error {
 		return fmt.Errorf("parallel: nil task function")
 	}
 	return nil
-}
-
-// Map evaluates fn(0) .. fn(n-1) using at most Workers(workers)
-// goroutines and returns the results indexed like the inputs — the
-// output slice is deterministic regardless of worker count or
-// scheduling. fn must be safe for concurrent invocation when more than
-// one worker is requested.
-//
-// Error semantics match the sequential loop: on failure Map returns the
-// error of the lowest failing index. A task that panics does not kill
-// the process; the panic is contained and reported as a *PanicError at
-// that task's index, competing for lowest-index like any other error.
-// The first observed failure cancels the sweep — no new chunks are
-// claimed — but already-claimed chunks run to completion (or to their
-// own, lower-index error), which is what makes the lowest-index
-// guarantee hold: chunks are claimed monotonically, so every index
-// below a failing one is either complete or inside a claimed chunk
-// whose worker will still visit it when the failure is recorded.
-//
-//lint:ctxfacade non-Ctx compat entry point; callers without a context use MapCtx to get cancellation
-func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
-	if err := checkArgs(n, fn == nil); err != nil {
-		return nil, err
-	}
-	out, oc := mapEngine(context.Background(), workers, n,
-		func(_ context.Context, i int) (T, error) { return fn(i) })
-	if oc.cause != nil {
-		return nil, oc.cause
-	}
-	return out, nil
-}
-
-// FilterMap is Map for sparse grids: fn reports keep=false to skip a
-// grid point (the sweeps skip TP degrees that do not divide a
-// configuration), and the kept results are returned densely in index
-// order. Error semantics are those of Map.
-func FilterMap[T any](workers, n int, fn func(int) (v T, keep bool, err error)) ([]T, error) {
-	type slot struct {
-		v    T
-		keep bool
-	}
-	slots, err := Map(workers, n, func(i int) (slot, error) {
-		v, keep, err := fn(i)
-		return slot{v: v, keep: keep}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, len(slots))
-	for _, s := range slots {
-		if s.keep {
-			out = append(out, s.v)
-		}
-	}
-	return out, nil
 }
 
 // outcome is what one engine run observed beyond the result slice.
@@ -151,7 +96,7 @@ func chunkSize(n, workers int) int {
 	return c
 }
 
-// mapEngine is the shared sweep core behind Map, MapCtx and MapPartial:
+// mapEngine is the shared sweep core behind MapCtx and MapPartial:
 // monotonic chunked index claiming over a bounded pool, panic
 // containment per task, lowest-index error selection, and cooperative
 // cancellation (no new chunk is claimed once ctx is done or a task has

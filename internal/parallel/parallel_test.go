@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,7 +33,7 @@ func TestWorkers(t *testing.T) {
 func TestMapOrdering(t *testing.T) {
 	const n = 100
 	for _, workers := range []int{1, 2, 4, 8, 17, n, 2 * n} {
-		out, err := Map(workers, n, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(context.Background(), workers, n, func(_ context.Context, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -48,14 +49,14 @@ func TestMapOrdering(t *testing.T) {
 }
 
 func TestMapEmptyAndInvalid(t *testing.T) {
-	out, err := Map(4, 0, func(int) (int, error) { return 0, nil })
+	out, err := MapCtx(context.Background(), 4, 0, func(context.Context, int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
-		t.Fatalf("Map(_, 0, _) = (%v, %v), want (nil, nil)", out, err)
+		t.Fatalf("MapCtx(_, _, 0, _) = (%v, %v), want (nil, nil)", out, err)
 	}
-	if _, err := Map(4, -1, func(int) (int, error) { return 0, nil }); err == nil {
+	if _, err := MapCtx(context.Background(), 4, -1, func(context.Context, int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("negative n should error")
 	}
-	if _, err := Map[int](4, 3, nil); err == nil {
+	if _, err := MapCtx[int](context.Background(), 4, 3, nil); err == nil {
 		t.Fatal("nil fn should error")
 	}
 }
@@ -65,7 +66,7 @@ func TestMapLowestIndexError(t *testing.T) {
 	// failing index's — exactly what the sequential loop would return.
 	failAt := map[int]bool{7: true, 23: true, 59: true}
 	for _, workers := range []int{1, 2, 4, 16} {
-		_, err := Map(workers, 64, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), workers, 64, func(_ context.Context, i int) (int, error) {
 			if failAt[i] {
 				return 0, fmt.Errorf("boom at %d", i)
 			}
@@ -82,7 +83,7 @@ func TestMapCancelsAfterError(t *testing.T) {
 	// with monotonic claiming, far fewer than n calls should happen.
 	var calls atomic.Int64
 	n := 10_000
-	_, err := Map(4, n, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, n, func(_ context.Context, i int) (int, error) {
 		calls.Add(1)
 		if i == 0 {
 			return 0, errors.New("early failure")
@@ -101,7 +102,7 @@ func TestMapConcurrentExecution(t *testing.T) {
 	// All fn invocations must be tracked exactly once on success.
 	var calls atomic.Int64
 	const n = 500
-	out, err := Map(8, n, func(i int) (int, error) {
+	out, err := MapCtx(context.Background(), 8, n, func(_ context.Context, i int) (int, error) {
 		calls.Add(1)
 		return i, nil
 	})
@@ -118,35 +119,6 @@ func TestMapConcurrentExecution(t *testing.T) {
 	}
 }
 
-func TestFilterMap(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		// Keep even indices only.
-		out, err := FilterMap(workers, 10, func(i int) (int, bool, error) {
-			return i, i%2 == 0, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		want := []int{0, 2, 4, 6, 8}
-		if len(out) != len(want) {
-			t.Fatalf("workers=%d: got %v", workers, out)
-		}
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatalf("workers=%d: got %v, want %v", workers, out, want)
-			}
-		}
-	}
-	if _, err := FilterMap(4, 5, func(i int) (int, bool, error) {
-		if i == 2 {
-			return 0, true, errors.New("bad point")
-		}
-		return i, true, nil
-	}); err == nil || err.Error() != "bad point" {
-		t.Fatalf("err = %v, want bad point", err)
-	}
-}
-
 // TestQuickParallelEqualsSequential is the engine's core property: for a
 // random task count, random worker count, and a deterministic per-index
 // function, the parallel result equals the sequential result exactly.
@@ -154,9 +126,9 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 	prop := func(nRaw uint8, wRaw uint8) bool {
 		n := int(nRaw % 64)
 		workers := int(wRaw%16) + 1
-		fn := func(i int) (float64, error) { return float64(i*i) / 7.0, nil }
-		seq, err1 := Map(1, n, fn)
-		par, err2 := Map(workers, n, fn)
+		fn := func(_ context.Context, i int) (float64, error) { return float64(i*i) / 7.0, nil }
+		seq, err1 := MapCtx(context.Background(), 1, n, fn)
+		par, err2 := MapCtx(context.Background(), workers, n, fn)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -181,14 +153,14 @@ func TestQuickErrorEqualsSequential(t *testing.T) {
 	prop := func(nRaw, wRaw, failMask uint8) bool {
 		n := int(nRaw%48) + 1
 		workers := int(wRaw%8) + 1
-		fn := func(i int) (int, error) {
+		fn := func(_ context.Context, i int) (int, error) {
 			if failMask != 0 && i%int(failMask%7+2) == 1 {
 				return 0, fmt.Errorf("fail@%d", i)
 			}
 			return i, nil
 		}
-		_, seqErr := Map(1, n, fn)
-		_, parErr := Map(workers, n, fn)
+		_, seqErr := MapCtx(context.Background(), 1, n, fn)
+		_, parErr := MapCtx(context.Background(), workers, n, fn)
 		if (seqErr == nil) != (parErr == nil) {
 			return false
 		}
@@ -203,7 +175,7 @@ func TestQuickErrorEqualsSequential(t *testing.T) {
 }
 
 // TestMapTelemetryWorkerLanes asserts the trace contract of the ISSUE's
-// acceptance criterion: a Map run with telemetry enabled exports one
+// acceptance criterion: a MapCtx run with telemetry enabled exports one
 // Chrome-trace thread lane per sweep worker, with every task appearing
 // as a span, and the task counters reflect the grid size.
 func TestMapTelemetryWorkerLanes(t *testing.T) {
@@ -212,7 +184,7 @@ func TestMapTelemetryWorkerLanes(t *testing.T) {
 	defer telemetry.Enable(nil)
 
 	const workers, n = 4, 32
-	if _, err := Map(workers, n, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := MapCtx(context.Background(), workers, n, func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
 

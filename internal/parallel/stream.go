@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the streaming side of the sweep engine. The grid studies
-// built on Map/MapCtx materialize a full result slice — fine for a
+// built on MapCtx/MapPartial materialize a full result slice — fine for a
 // hundreds-point figure, the memory ceiling for a 10⁶-10⁷ point
 // design-space search. StreamCtx keeps the engine's contracts (index
 // order, sequential-equivalent errors, panic attribution, cooperative
@@ -38,7 +38,7 @@ const DefaultStreamChunk = 512
 // 10⁶-point grid stream through a fixed-size window. The emitted byte
 // stream is identical to the sequential loop's at any worker count.
 //
-// Error semantics are sequential-equivalent, like Map: every row before
+// Error semantics are sequential-equivalent, like MapCtx: every row before
 // the failing index is emitted, no row at or after it is, and the
 // returned error is the lowest-index task error (panics contained as
 // *PanicError). An emit error aborts the stream and is returned as-is.

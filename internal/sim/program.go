@@ -42,7 +42,7 @@ type Program struct {
 	// (device, stream); each holds op indices in submission order.
 	queues []progQueue
 
-	pool sync.Pool // *RunState
+	pool sync.Pool // *runState
 }
 
 // progQueue is one compiled (device, stream) lane.
@@ -155,12 +155,10 @@ func (p *Program) Durations() []units.Seconds {
 	return out
 }
 
-// RunState is the reusable scratch memory of one Program execution. A
-// RunState is NOT safe for concurrent use: it must never be shared
-// across sweep workers (Program.Run draws from an internal pool, which
-// is the safe default; NewState is for single-goroutine re-time loops
-// that want to avoid even the pool handoff).
-type RunState struct {
+// runState is the reusable scratch memory of one Program execution. A
+// runState is NOT safe for concurrent use: Program.Run draws one from
+// the Program's internal pool per call, so no two runs share one.
+type runState struct {
 	owner     *Program
 	remaining []float64
 	startAt   []float64
@@ -172,9 +170,9 @@ type RunState struct {
 	rate      []float64 // per queue: healthy progress rate (1/fault factor)
 }
 
-func (p *Program) newState() *RunState {
+func (p *Program) newState() *runState {
 	n := len(p.ops)
-	return &RunState{
+	return &runState{
 		owner:     p,
 		remaining: make([]float64, n),
 		startAt:   make([]float64, n),
@@ -187,39 +185,27 @@ func (p *Program) newState() *RunState {
 	}
 }
 
-// NewState allocates a fresh scratch state for RunWith. Use one state
-// per goroutine; see RunState.
-func (p *Program) NewState() *RunState { return p.newState() }
-
 // Run executes the compiled schedule under the given per-op durations
 // (indexed like Ops) and config, drawing scratch state from the
 // Program's internal pool. Safe for concurrent use.
 func (p *Program) Run(durations []units.Seconds, cfg Config) (*Trace, error) {
-	st := p.pool.Get().(*RunState)
-	tr, err := p.RunWith(st, durations, cfg)
-	p.pool.Put(st)
-	return tr, err
-}
-
-// RunWith is Run over caller-owned scratch state (from NewState). The
-// state must belong to this Program and must not be used concurrently.
-func (p *Program) RunWith(st *RunState, durations []units.Seconds, cfg Config) (*Trace, error) {
+	st := p.pool.Get().(*runState)
 	tr := &Trace{}
-	if err := p.RunReuse(st, durations, cfg, tr); err != nil {
+	err := p.runReuse(st, durations, cfg, tr)
+	p.pool.Put(st)
+	if err != nil {
 		return nil, err
 	}
 	return tr, nil
 }
 
-// RunReuse is RunWith into a caller-owned Trace: the schedule is
-// re-timed and tr's span storage is reused (grown only when the op
-// count exceeds its capacity), dropping the re-time loop's last
-// per-point allocations. Steady state is zero allocs per run. tr must
-// not be read concurrently with the call; its previous contents are
-// overwritten.
+// runReuse re-times the schedule over scratch state st into tr: tr's
+// span storage is reused (grown only when the op count exceeds its
+// capacity), so with a reused state and trace the steady state is zero
+// allocs per run. tr's previous contents are overwritten.
 //
 //lint:hotpath
-func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, tr *Trace) error {
+func (p *Program) runReuse(st *runState, durations []units.Seconds, cfg Config, tr *Trace) error {
 	if tr == nil {
 		return fmt.Errorf("sim: nil trace")
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -234,7 +235,7 @@ func TestProgramConcurrentRun(t *testing.T) {
 		}
 		sequential[i] = tr
 	}
-	concurrent, err := parallel.Map(8, len(points), func(i int) (*Trace, error) {
+	concurrent, err := parallel.MapCtx(context.Background(), 8, len(points), func(_ context.Context, i int) (*Trace, error) {
 		durs := p.Durations()
 		for j := range durs {
 			durs[j] *= units.Seconds(points[i])
@@ -242,7 +243,7 @@ func TestProgramConcurrentRun(t *testing.T) {
 		return p.Run(durs, cfg)
 	})
 	if err != nil {
-		t.Fatalf("parallel.Map: %v", err)
+		t.Fatalf("parallel.MapCtx: %v", err)
 	}
 	for i := range points {
 		requireSameTrace(t, sequential[i], concurrent[i])
@@ -266,22 +267,12 @@ func TestProgramRunValidation(t *testing.T) {
 	if _, err := p.Run(p.Durations(), Config{Faults: Faults{StragglerSlowdown: 0.5}}); err == nil {
 		t.Fatal("expected fault-validation error")
 	}
-	other, err := Compile(iterationOps(2))
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if _, err := p.RunWith(other.NewState(), p.Durations(), Config{}); err == nil {
-		t.Fatal("expected foreign-state ownership error")
-	}
-	if _, err := p.RunWith(nil, p.Durations(), Config{}); err == nil {
-		t.Fatal("expected nil-state error")
-	}
 }
 
 // reTimeAllocBound is the enforced steady-state allocation ceiling of
-// one RunReuse call over caller-owned scratch and trace: exactly zero.
+// one runReuse call over reused scratch and trace: exactly zero.
 // The trace struct, its span slice, and the sort all reuse
-// caller-owned storage, so nothing is proportional to re-runs. CI's
+// the reused storage, so nothing is proportional to re-runs. CI's
 // alloc smoke step greps for this test; raising the bound is an
 // explicit reviewable change here, not a silent regression.
 const reTimeAllocBound = 0
@@ -293,16 +284,16 @@ func TestProgramReTimeAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	st := p.NewState()
+	st := p.newState()
 	durs := p.Durations()
 	cfg := Config{InterferenceSlowdown: 1.4}
 	var tr Trace
-	if err := p.RunReuse(st, durs, cfg, &tr); err != nil {
+	if err := p.runReuse(st, durs, cfg, &tr); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := p.RunReuse(st, durs, cfg, &tr); err != nil {
-			t.Fatalf("RunReuse: %v", err)
+		if err := p.runReuse(st, durs, cfg, &tr); err != nil {
+			t.Fatalf("runReuse: %v", err)
 		}
 	})
 	if avg > reTimeAllocBound {
@@ -310,9 +301,9 @@ func TestProgramReTimeAllocBound(t *testing.T) {
 	}
 }
 
-// TestRunReuseMatchesRunWith: the reusing path must produce exactly the
-// trace the allocating path does, across shapes and re-sizes (growing
-// and shrinking the reused trace between programs).
+// TestRunReuseMatchesRunWith: re-timing into a reused state and trace
+// must produce exactly the trace a fresh Run does, across shapes and
+// re-sizes (growing and shrinking the reused trace between programs).
 func TestRunReuseMatchesRunWith(t *testing.T) {
 	cfg := Config{InterferenceSlowdown: 1.3}
 	var reused Trace
@@ -321,20 +312,20 @@ func TestRunReuseMatchesRunWith(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%d): %v", n, err)
 		}
-		st := p.NewState()
+		st := p.newState()
 		durs := p.Durations()
 		for i := range durs {
 			durs[i] *= units.Seconds(1 + float64(i%3)*0.25)
 		}
-		want, err := p.RunWith(p.NewState(), durs, cfg)
+		want, err := p.Run(durs, cfg)
 		if err != nil {
-			t.Fatalf("RunWith(%d): %v", n, err)
+			t.Fatalf("Run(%d): %v", n, err)
 		}
-		if err := p.RunReuse(st, durs, cfg, &reused); err != nil {
-			t.Fatalf("RunReuse(%d): %v", n, err)
+		if err := p.runReuse(st, durs, cfg, &reused); err != nil {
+			t.Fatalf("runReuse(%d): %v", n, err)
 		}
 		if !reflect.DeepEqual(want.Spans, reused.Spans) || want.Makespan != reused.Makespan {
-			t.Fatalf("n=%d: RunReuse diverged from RunWith", n)
+			t.Fatalf("n=%d: runReuse diverged from Run", n)
 		}
 		// The lazy analysis indexes must rebuild against the new spans.
 		if !reflect.DeepEqual(want.LabelTime(), reused.LabelTime()) {
@@ -350,14 +341,21 @@ func TestRunReuseValidation(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	var tr Trace
-	if err := p.RunReuse(p.NewState(), p.Durations(), Config{}, nil); err == nil {
+	if err := p.runReuse(p.newState(), p.Durations(), Config{}, nil); err == nil {
 		t.Fatal("expected nil-trace error")
 	}
-	if err := p.RunReuse(nil, p.Durations(), Config{}, &tr); err == nil {
+	if err := p.runReuse(nil, p.Durations(), Config{}, &tr); err == nil {
 		t.Fatal("expected nil-state error")
 	}
-	if err := p.RunReuse(p.NewState(), make([]units.Seconds, 1), Config{}, &tr); err == nil {
+	if err := p.runReuse(p.newState(), make([]units.Seconds, 1), Config{}, &tr); err == nil {
 		t.Fatal("expected length-mismatch error")
+	}
+	other, err := Compile(iterationOps(2))
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if err := p.runReuse(other.newState(), p.Durations(), Config{}, &tr); err == nil {
+		t.Fatal("expected foreign-state ownership error")
 	}
 }
 
@@ -423,21 +421,21 @@ func TestLabelTimeCached(t *testing.T) {
 }
 
 // BenchmarkProgramReTime measures the compile-once/re-time-many fast
-// path: one RunReuse per iteration over caller-owned scratch and trace.
+// path: one runReuse per iteration over reused scratch and trace.
 func BenchmarkProgramReTime(b *testing.B) {
 	ops := iterationOps(24)
 	p, err := Compile(ops)
 	if err != nil {
 		b.Fatalf("Compile: %v", err)
 	}
-	st := p.NewState()
+	st := p.newState()
 	durs := p.Durations()
 	cfg := Config{InterferenceSlowdown: 1.4}
 	var tr Trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.RunReuse(st, durs, cfg, &tr); err != nil {
+		if err := p.runReuse(st, durs, cfg, &tr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,7 +99,7 @@ type Trace struct {
 
 	// mu guards the lazily built analysis indexes below. A mutex with
 	// nil-map sentinels (rather than sync.Once fields) lets
-	// Program.RunReuse clear them for the next re-time without copying a
+	// Program.runReuse clear them for the next re-time without copying a
 	// used lock, which `go vet` rightly rejects.
 	mu sync.Mutex
 	// byID is the span-by-op-ID index every backward walk needs; built
@@ -126,7 +126,7 @@ func (t *Trace) index() map[string]Span {
 	return m
 }
 
-// resize prepares the trace for reuse by Program.RunReuse: Spans is
+// resize prepares the trace for reuse by Program.runReuse: Spans is
 // re-sliced to n ops (reusing its backing array whenever it is large
 // enough), the makespan is cleared, and the lazy analysis indexes are
 // dropped so they rebuild against the new spans.

@@ -15,10 +15,9 @@
 #     end-to-end effect. Regressions show up as a diff in this file.
 #
 #   BENCH_stream.json — the streaming-sweep set: per-row sink encoding
-#     (NDJSON), the online reducers (Pareto, top-K), the ordered chunk
-#     engine, and the arena re-time step that prices one grid point in
-#     zero allocations. These are the per-point costs that decide
-#     whether a 10⁶-10⁷ point search is practical.
+#     (NDJSON), the online reducers (Pareto, top-K), and the ordered
+#     chunk engine. These are the per-point costs that decide whether a
+#     10⁶-10⁷ point search is practical.
 #
 # scripts/bench_gate.sh holds a fresh run to the committed sim and
 # stream baselines; scripts/bench_report.sh renders all three into
@@ -44,7 +43,6 @@ go test -run '^$' -bench 'Sweep|EvolutionGrid' -benchmem -count="$count" . | tee
 go test -run '^$' -bench 'ProgramReTime|RunRebuild' -benchmem -count="$count" ./internal/sim | tee "$raw_sim" >&2
 go test -run '^$' -bench 'NDJSONEmit|ParetoEmit|TopKEmit|CalibrationSpin' -benchmem -count="$count" ./internal/stream | tee "$raw_stream" >&2
 go test -run '^$' -bench 'StreamCtx' -benchmem -count="$count" ./internal/parallel | tee -a "$raw_stream" >&2
-go test -run '^$' -bench 'ArenaReTime' -benchmem -count="$count" ./internal/dist | tee -a "$raw_stream" >&2
 
 # The grid benchmark belongs to both contracts: it is the sweep set's
 # heaviest member and the compiled-schedule layer's acceptance number.
