@@ -587,18 +587,17 @@ func cmdSerialized(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	pts, err := a.SerializedSweepCtx(ctx, core.Table3Hs(), core.Table3SLs(), core.Table3TPs(), *b, evoFlag(*flopbw))
-	pe, partial := partialSweep(err)
-	if err != nil && !partial {
+	done, ok := partialSweep(len(pts), err)
+	if !ok {
 		return err
 	}
 	title := fmt.Sprintf("Figure 10/12: serialized comm fraction of training time (flop-vs-bw %gx, B=%d)", *flopbw, *b)
 	t := report.NewTable(title, "H", "SL", "TP", "comm fraction (%)")
-	for i, p := range pts {
-		frac := report.Pct(p.Fraction)
-		if partial && !pe.Completed[i] {
-			frac = canceledCell
-		}
-		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SL), fmt.Sprint(p.TP), frac)
+	for _, p := range pts[:done] {
+		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SL), fmt.Sprint(p.TP), report.Pct(p.Fraction))
+	}
+	for _, p := range pts[done:] {
+		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SL), fmt.Sprint(p.TP), canceledCell)
 	}
 	if *csv {
 		if rErr := t.RenderCSV(w); rErr != nil {
@@ -625,18 +624,17 @@ func cmdOverlapped(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	pts, err := a.OverlappedSweepCtx(ctx, core.Table3Hs(), core.Table3SLs(), *tp, evoFlag(*flopbw))
-	pe, partial := partialSweep(err)
-	if err != nil && !partial {
+	done, ok := partialSweep(len(pts), err)
+	if !ok {
 		return err
 	}
 	title := fmt.Sprintf("Figure 11/13: overlapped comm as %% of compute (flop-vs-bw %gx, TP=%d); >=100 means exposed", *flopbw, *tp)
 	t := report.NewTable(title, "H", "SL·B", "overlap (%)")
-	for i, p := range pts {
-		pct := fmt.Sprintf("%.1f", p.Percent)
-		if partial && !pe.Completed[i] {
-			pct = canceledCell
-		}
-		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SLB), pct)
+	for _, p := range pts[:done] {
+		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SLB), fmt.Sprintf("%.1f", p.Percent))
+	}
+	for _, p := range pts[done:] {
+		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SLB), canceledCell)
 	}
 	if *csv {
 		if rErr := t.RenderCSV(w); rErr != nil {

@@ -22,12 +22,16 @@ import (
 // reader can see exactly which points are missing.
 const canceledCell = "(canceled)"
 
-// partialSweep classifies a sweep error: a *parallel.PartialError means
-// the completed prefix is renderable.
-func partialSweep(err error) (*parallel.PartialError, bool) {
+// partialSweep classifies the error of an n-point sweep: it returns how
+// many leading points are valid and whether the points are renderable —
+// all n when the sweep completed, the completed prefix when it failed
+// with a *parallel.PartialError, none otherwise.
+func partialSweep(n int, err error) (done int, ok bool) {
 	var pe *parallel.PartialError
-	ok := errors.As(err, &pe)
-	return pe, ok
+	if errors.As(err, &pe) {
+		return pe.NumCompleted, true
+	}
+	return n, err == nil
 }
 
 // cmdDegradation runs the fault-injection study: how the paper's

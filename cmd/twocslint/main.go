@@ -8,8 +8,10 @@
 //	detrange   no map-ordered iteration feeding deterministic output
 //	lockcheck  '// guarded by <mu>' fields accessed only under the lock,
 //	           interprocedurally through same-receiver helper methods
-//	sweeppure  no mutation of captured state in parallel.MapCtx,
-//	           MapPartial and StreamCtx task closures
+//	sweeppure  no mutation of captured state in the task closure (the
+//	           fn argument after ctx, workers, n) of parallel.MapCtx,
+//	           MapPartial and StreamCtx; StreamCtx's emit runs one
+//	           chunk at a time and is exempt
 //	hotalloc   //lint:hotpath functions and everything they transitively
 //	           call are provably allocation-free in steady state
 //	ctxflow    context.Context threads through library call chains; no

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"twocs/internal/collective"
@@ -29,15 +30,12 @@ func TestSerializedSweepCtxCanceledKeepsCoordinates(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: PartialError does not unwrap to Canceled: %v", w, err)
 		}
-		if len(out) != len(pe.Completed) || len(out) == 0 {
-			t.Fatalf("workers=%d: lengths %d/%d", w, len(out), len(pe.Completed))
+		if len(out) != pe.Total || len(out) == 0 || pe.NumCompleted != 0 {
+			t.Fatalf("workers=%d: len=%d total=%d done=%d", w, len(out), pe.Total, pe.NumCompleted)
 		}
 		// Incomplete points must still name their grid coordinates so a
 		// renderer can print "(canceled)" cells for them.
 		for i, p := range out {
-			if pe.Completed[i] {
-				continue
-			}
 			if p.H == 0 || p.SL == 0 || p.TP == 0 {
 				t.Fatalf("workers=%d: incomplete point %d lost coordinates: %+v", w, i, p)
 			}
@@ -58,9 +56,63 @@ func TestOverlappedSweepCtxCanceledKeepsCoordinates(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *parallel.PartialError", err)
 	}
-	for i, p := range out {
-		if !pe.Completed[i] && (p.H == 0 || !math.IsNaN(p.Percent)) {
-			t.Fatalf("incomplete point %d: %+v", i, p)
+	for i, p := range out[pe.NumCompleted:] {
+		if p.H == 0 || !math.IsNaN(p.Percent) {
+			t.Fatalf("incomplete point %d: %+v", pe.NumCompleted+i, p)
+		}
+	}
+}
+
+// errAfterCtx starts reporting context.Canceled after a fixed number of
+// Err calls: a cancellation that lands mid-sweep at a fixed point of
+// the engine's dispatch, independent of timing.
+type errAfterCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *errAfterCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSerializedSweepCtxIncompleteIsSuffix: a best-effort sweep
+// canceled mid-grid returns a valid prefix identical to the full
+// sweep's, and its incomplete points are exactly the suffix from
+// NumCompleted on — coordinates kept, fraction NaN — at any worker
+// count.
+func TestSerializedSweepCtxIncompleteIsSuffix(t *testing.T) {
+	a := newAnalyzer(t)
+	hs, sls, tps := Table3Hs(), Table3SLs(), Table3TPs()
+	full, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.Identity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		a.Workers = w
+		ctx := &errAfterCtx{Context: context.Background()}
+		ctx.left.Store(10)
+		out, err := a.SerializedSweepCtx(ctx, hs, sls, tps, 1, hw.Identity())
+		var pe *parallel.PartialError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want a canceled *parallel.PartialError", w, err)
+		}
+		if pe.NumCompleted == 0 || pe.NumCompleted >= len(out) || len(out) != len(full) {
+			t.Fatalf("workers=%d: %d/%d points completed, want a mid-grid stop", w, pe.NumCompleted, len(out))
+		}
+		for i, p := range out {
+			want := full[i]
+			if i >= pe.NumCompleted {
+				if !math.IsNaN(p.Fraction) {
+					t.Fatalf("workers=%d: point %d past the prefix has fraction %v, want NaN", w, i, p.Fraction)
+				}
+				p.Fraction, want.Fraction = 0, 0 // compare coordinates only
+			}
+			if p != want {
+				t.Fatalf("workers=%d: point %d = %+v, want %+v", w, i, p, want)
+			}
 		}
 	}
 }

@@ -171,7 +171,7 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	pr := telemetry.ActiveProgress()
 	pr.Begin(label, total)
 	var rows int64
-	streamErr := parallel.StreamCtx(ctx, a.workers(), int(total), 0,
+	streamErr := parallel.StreamCtx(ctx, a.workers(), int(total),
 		func(_ context.Context, i int) (stream.Row, error) {
 			g := lo + int64(i)
 			evo, t := evos[g/int64(len(tasks))], tasks[g%int64(len(tasks))]

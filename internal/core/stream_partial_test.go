@@ -123,24 +123,25 @@ func (c *cancelForwardSink) Close(tr stream.Trailer) error { return c.inner.Clos
 // with the canceled-row count in the lines agreeing with the trailer,
 // and attached reducers keeping canceled rows out of their digests.
 //
-// The cancel fires inside the first chunk's emission. Cancellation
-// never abandons a claimed chunk and each worker holds one chunk until
-// it is emitted, so with fewer workers than chunks at least one chunk is
-// still unclaimed when the cancel lands: the stream is canceled, not
-// complete, however the workers are scheduled.
+// The cancel fires inside the first chunk's emission, and no chunk is
+// claimed once ctx is done. Before the first emission completes the
+// engine claims at most workers × max(MaxChunk/chunk, 1) chunks, so with
+// more chunks than that at least one is never claimed: the stream is
+// canceled, not complete, however the workers are scheduled.
 func TestStreamGridPartialNDJSONAllValid(t *testing.T) {
 	a := newAnalyzer(t)
+	a.Workers = 2
 	hs, sls, tps := smallGrid()
 	evos := manyEvos(200)
 	total, err := GridRowCount(hs, sls, tps, 1, len(evos))
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := int((total + parallel.DefaultStreamChunk - 1) / parallel.DefaultStreamChunk)
-	if chunks < 3 {
-		t.Fatalf("grid has %d chunks; need at least 3 for a parallel partial stream", chunks)
+	chunk := parallel.ChunkSize(int(total))
+	chunks := (int(total) + chunk - 1) / chunk
+	if inFlight := a.Workers * max(parallel.MaxChunk/chunk, 1); chunks <= inFlight {
+		t.Fatalf("grid has %d chunks; need more than the %d the workers can claim before the cancel", chunks, inFlight)
 	}
-	a.Workers = chunks - 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

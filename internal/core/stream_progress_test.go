@@ -112,3 +112,40 @@ func TestStreamGridProgressWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestMaterializedGridLeavesProgressAlone guards the /progress
+// isolation of the collecting sweeps: the tracker belongs to the stream
+// being served, so a materialized study grid run at the same time (a
+// /v1/study request) must not move its rows, chunks or worker table.
+func TestMaterializedGridLeavesProgressAlone(t *testing.T) {
+	a := newAnalyzer(t)
+	a.Workers = 4
+	hs, sls, tps := smallGrid()
+	p := armProgress(t)
+	p.Begin("sweep-stream", 1000)
+	p.SetWorkers(2)
+	p.AddRows(7)
+	p.ChunkDone()
+	before := p.Snapshot()
+
+	// An active collector makes the workers time their tasks, so a
+	// leaked busy-time report would show in the worker table too.
+	telemetry.Enable(telemetry.NewCollector())
+	defer telemetry.Enable(nil)
+	if _, err := a.SerializedEvolutionGridCtx(context.Background(), hs, sls, tps, 1, hw.PaperScenarios()); err != nil {
+		t.Fatal(err)
+	}
+	after := p.Snapshot()
+	if after.Label != before.Label || after.Total != before.Total || after.Rows != before.Rows ||
+		after.Chunks != before.Chunks || after.Done {
+		t.Errorf("tracker moved: before %+v, after %+v", before, after)
+	}
+	if len(after.Workers) != len(before.Workers) {
+		t.Fatalf("worker table resized: %d -> %d entries", len(before.Workers), len(after.Workers))
+	}
+	for i := range after.Workers {
+		if after.Workers[i].Busy != before.Workers[i].Busy {
+			t.Errorf("worker %d busy moved: %v -> %v", i, before.Workers[i].Busy, after.Workers[i].Busy)
+		}
+	}
+}

@@ -100,10 +100,11 @@ type SerializedPoint struct {
 // The sweep is cancelable and best-effort: it stops claiming grid
 // points once ctx fires, and instead of discarding a partially
 // completed grid it returns the full-length point slice plus a
-// *parallel.PartialError saying which entries are valid; its Cause is
-// the error the sequential loop would have hit. Incomplete entries
-// keep their grid coordinates (H, SL, B, TP, FlopVsBW) so renderers can
-// name them, with Fraction set to NaN.
+// *parallel.PartialError saying how long the valid prefix is; its Cause
+// is the error the sequential loop would have hit. Incomplete entries —
+// always the suffix from NumCompleted on, at any worker count — keep
+// their grid coordinates (H, SL, B, TP, FlopVsBW) so renderers can name
+// them, with Fraction set to NaN.
 func (a *Analyzer) SerializedSweepCtx(ctx context.Context, hs, sls, tps []int, b int, evo hw.Evolution) ([]SerializedPoint, error) {
 	defer telemetry.Active().Start("core.SerializedSweep").End()
 	tasks, err := enumerateSerialized(hs, sls, tps, b)
@@ -127,14 +128,12 @@ func (a *Analyzer) SerializedSweepCtx(ctx context.Context, hs, sls, tps []int, b
 			}, nil
 		})
 	if pe, ok := err.(*parallel.PartialError); ok {
-		for i, done := range pe.Completed {
-			if !done {
-				t := tasks[i]
-				out[i] = SerializedPoint{
-					H: t.h, SL: t.sl, B: b, TP: t.tp,
-					FlopVsBW: evo.FlopVsBW(),
-					Fraction: math.NaN(),
-				}
+		for i := pe.NumCompleted; i < len(out); i++ {
+			t := tasks[i]
+			out[i] = SerializedPoint{
+				H: t.h, SL: t.sl, B: b, TP: t.tp,
+				FlopVsBW: evo.FlopVsBW(),
+				Fraction: math.NaN(),
 			}
 		}
 	}
@@ -242,12 +241,10 @@ func (a *Analyzer) OverlappedSweepCtx(ctx context.Context, hs, slbs []int, tp in
 			}, nil
 		})
 	if pe, ok := err.(*parallel.PartialError); ok {
-		for i, done := range pe.Completed {
-			if !done {
-				t := tasks[i]
-				out[i] = OverlappedPoint{
-					H: t.h, SLB: t.sl, FlopVsBW: evo.FlopVsBW(), Percent: math.NaN(),
-				}
+		for i := pe.NumCompleted; i < len(out); i++ {
+			t := tasks[i]
+			out[i] = OverlappedPoint{
+				H: t.h, SLB: t.sl, FlopVsBW: evo.FlopVsBW(), Percent: math.NaN(),
 			}
 		}
 	}

@@ -31,23 +31,19 @@ type CompiledIteration struct {
 	tp    int
 }
 
-// Refill prices every op of the compiled schedule under timer, writing
-// into dst (grown if needed) and returning the filled slice — the
-// duration-refill hook of the compile-once/re-time-many loop. The
-// timer must have the TP degree the schedule was compiled for; its
-// hardware (Calculator, cost models) and DP degree are free to differ.
-func (c *CompiledIteration) Refill(timer *Timer, dst []units.Seconds) ([]units.Seconds, error) {
+// Refill prices every op of the compiled schedule under timer and
+// returns the durations in op order — the duration-refill hook of the
+// compile-once/re-time-many loop. The timer must have the TP degree the
+// schedule was compiled for; its hardware (Calculator, cost models) and
+// DP degree are free to differ.
+func (c *CompiledIteration) Refill(timer *Timer) ([]units.Seconds, error) {
 	if timer == nil {
 		return nil, fmt.Errorf("dist: nil timer")
 	}
 	if timer.TP != c.tp {
 		return nil, fmt.Errorf("dist: timer TP %d does not match compiled TP %d", timer.TP, c.tp)
 	}
-	n := c.prog.NumOps()
-	if cap(dst) < n {
-		dst = make([]units.Seconds, n)
-	}
-	dst = dst[:n]
+	dst := make([]units.Seconds, c.prog.NumOps())
 	for i, s := range c.specs {
 		var d units.Seconds
 		var err error
@@ -67,7 +63,7 @@ func (c *CompiledIteration) Refill(timer *Timer, dst []units.Seconds) ([]units.S
 // Run refills durations under timer and executes the compiled program,
 // returning the same report and trace RunIteration produces.
 func (c *CompiledIteration) Run(timer *Timer, cfg sim.Config) (*IterationReport, *sim.Trace, error) {
-	durs, err := c.Refill(timer, nil)
+	durs, err := c.Refill(timer)
 	if err != nil {
 		return nil, nil, err
 	}

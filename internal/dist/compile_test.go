@@ -8,7 +8,6 @@ import (
 	"twocs/internal/hw"
 	"twocs/internal/kernels"
 	"twocs/internal/sim"
-	"twocs/internal/units"
 )
 
 // evolvedTimer builds a Timer for the plan on a future-hardware variant
@@ -152,20 +151,18 @@ func TestRefillValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Refill(nil, nil); err == nil {
+	if _, err := c.Refill(nil); err == nil {
 		t.Error("expected nil-timer error")
 	}
 	other := testPlan(4, 2)
-	if _, err := c.Refill(newTimer(t, other), nil); err == nil || !strings.Contains(err.Error(), "TP") {
+	if _, err := c.Refill(newTimer(t, other)); err == nil || !strings.Contains(err.Error(), "TP") {
 		t.Errorf("expected TP-mismatch error, got %v", err)
 	}
-	// Refill must reuse a caller buffer of sufficient capacity.
-	buf := make([]units.Seconds, 0, c.prog.NumOps())
-	out, err := c.Refill(timer, buf)
+	out, err := c.Refill(timer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &out[0] != &buf[:1][0] {
-		t.Error("Refill reallocated despite sufficient capacity")
+	if len(out) != c.prog.NumOps() {
+		t.Errorf("Refill returned %d durations for %d ops", len(out), c.prog.NumOps())
 	}
 }

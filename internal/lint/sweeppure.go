@@ -9,9 +9,9 @@ import (
 // the task closure handed to parallel.MapCtx, MapPartial, or StreamCtx
 // runs on many goroutines at once, so it must communicate only through
 // its return value. StreamCtx's emit closure is not checked: the engine
-// never runs it concurrently with itself, so it may accumulate into
-// captured state. The analyzer flags, anywhere inside a task closure
-// (nested literals included):
+// runs it one chunk at a time in index order, never concurrently with
+// itself, so it may accumulate into captured state. The analyzer
+// flags, anywhere inside a task closure (nested literals included):
 //
 //   - assignments, ++/--, and op= on variables captured from the
 //     enclosing scope (including named result parameters and
@@ -35,7 +35,7 @@ var SweepPure = &Analyzer{
 const parallelPathSuffix = "internal/parallel"
 
 // taskArg is the argument index of each engine's task closure.
-var taskArg = map[string]int{"MapCtx": 3, "MapPartial": 3, "StreamCtx": 4}
+var taskArg = map[string]int{"MapCtx": 3, "MapPartial": 3, "StreamCtx": 3}
 
 func runSweepPure(p *Pass) {
 	for _, f := range p.Files {

@@ -68,7 +68,7 @@ func fieldWriteRace(ctx context.Context, n int) (*tally, error) {
 
 func streamTaskRace(ctx context.Context, n int) (int, error) {
 	count := 0
-	err := parallel.StreamCtx(ctx, 0, n, 0,
+	err := parallel.StreamCtx(ctx, 0, n,
 		func(_ context.Context, i int) (int, error) {
 			count++ // want "mutates captured variable"
 			return i, nil
@@ -103,7 +103,7 @@ func localStateOK(ctx context.Context, n int) ([]int, error) {
 
 func streamEmitOK(ctx context.Context, n int) (int, error) {
 	rows := 0
-	err := parallel.StreamCtx(ctx, 0, n, 0,
+	err := parallel.StreamCtx(ctx, 0, n,
 		func(_ context.Context, i int) (int, error) { return i, nil },
 		func(_ int, vals []int) error {
 			rows += len(vals)

@@ -8,19 +8,18 @@ import (
 )
 
 func TestChunkSize(t *testing.T) {
-	cases := []struct {
-		n, workers, want int
-	}{
-		{1, 1, 1},        // tiny grid: no batching possible
-		{10, 4, 1},       // fewer than 4 tasks per worker: stay fine-grained
-		{64, 4, 4},       // 64/(4*4)
-		{640, 4, 40},     // mid-size grid
-		{10_000, 4, 64},  // capped for tail balance
-		{10_000, 64, 39}, // wide pool under the cap
+	cases := []struct{ n, want int }{
+		{1, 1},       // tiny grid: no batching possible
+		{15, 1},      // fewer than 16 tasks: one task per chunk
+		{156, 9},     // the Table 3 serialized grid: 18 chunks
+		{768, 48},    // a large study grid: 16 chunks
+		{8_191, 511}, // just under the cap
+		{8_192, 512}, // capped from here on
+		{1_000_116, 512},
 	}
 	for _, c := range cases {
-		if got := chunkSize(c.n, c.workers); got != c.want {
-			t.Errorf("chunkSize(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
+		if got := ChunkSize(c.n); got != c.want {
+			t.Errorf("ChunkSize(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }
@@ -52,11 +51,11 @@ func TestMapChunkedCompleteCoverage(t *testing.T) {
 }
 
 // TestMapChunkedLowestIndexAcrossChunks places a late failure so it is
-// observed (and the failed flag raised) before an earlier chunk's
+// observed (and further claims stopped) before an earlier chunk's
 // failure runs. Because claimed chunks are visited to completion, the
 // earlier index must still win — the invariant chunking must preserve.
 func TestMapChunkedLowestIndexAcrossChunks(t *testing.T) {
-	const n = 1024 // workers=2 -> chunk 64: indices 5 and 700 are claims apart
+	const n = 1024 // chunk 64: indices 5 and 700 are claims apart
 	release := make(chan struct{})
 	var sawLate atomic.Bool
 	_, err := MapCtx(context.Background(), 2, n, func(_ context.Context, i int) (int, error) {

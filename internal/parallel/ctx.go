@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+
+	"twocs/internal/telemetry"
 )
 
 // This file is the robustness surface of the sweep engine: context
@@ -36,25 +38,27 @@ func (e *PanicError) Error() string {
 
 // PartialError reports a best-effort sweep that stopped before
 // completing every task. The result slice returned alongside it is
-// full-length; Completed says which entries are valid.
+// full-length; its first NumCompleted entries are valid and the rest
+// are zero values. The valid entries are always a prefix — exactly the
+// entries the sequential loop would have completed before stopping —
+// so a partial result is the same at any worker count.
 type PartialError struct {
 	// Cause is why the sweep stopped: the lowest-index task error
 	// (possibly a *PanicError), or the context's error when the sweep
 	// was canceled or deadlined with no task failure.
 	Cause error
-	// Index is the grid index of a task-error Cause, -1 when Cause is
-	// the context's error.
+	// Index is the grid index of a task-error Cause (always
+	// NumCompleted), -1 when Cause is the context's error.
 	Index int
-	// Completed[i] reports whether task i finished successfully; the
-	// result slice is valid exactly at these indices.
-	Completed []bool
-	// NumCompleted counts the true entries of Completed.
+	// NumCompleted is the length of the valid result prefix.
 	NumCompleted int
+	// Total is the sweep's task count, the result slice's length.
+	Total int
 }
 
 func (e *PartialError) Error() string {
 	return fmt.Sprintf("parallel: sweep incomplete (%d/%d tasks done): %v",
-		e.NumCompleted, len(e.Completed), e.Cause)
+		e.NumCompleted, e.Total, e.Cause)
 }
 
 // Unwrap exposes Cause to errors.Is/errors.As, so callers can test for
@@ -71,6 +75,33 @@ func Cause(err error) error {
 	return err
 }
 
+// collect runs the engine into a full-length slice, returning it and,
+// for an incomplete sweep, the *PartialError describing its valid
+// prefix; entries past the prefix are zero values. Collecting sweeps
+// never touch the /progress tracker: that belongs to the stream being
+// served, and a study request running alongside must not disturb it.
+func collect[T any](ctx context.Context, workers, n int, fn func(context.Context, int) (T, error)) ([]T, *PartialError) {
+	if n == 0 {
+		return nil, nil
+	}
+	tel := telemetry.Active()
+	tel.Count("parallel.map.calls", 1)
+	tel.Count("parallel.map.tasks", int64(n))
+	out := make([]T, n)
+	err := run(ctx, workers, n, ChunkSize(n), nil, out, fn, nil)
+	if err == nil {
+		return out, nil
+	}
+	pe := err.(*PartialError)
+	// Chunks computed past the stop are not part of the result; clear
+	// them so it does not depend on how far the workers got.
+	clear(out[pe.NumCompleted:])
+	if pe.Index < 0 {
+		tel.Count("parallel.map.canceled", 1)
+	}
+	return out, pe
+}
+
 // MapCtx evaluates fn(ctx, 0) .. fn(ctx, n-1) using at most
 // Workers(workers) goroutines and returns the results indexed like the
 // inputs — the output slice is deterministic regardless of worker count
@@ -81,49 +112,42 @@ func Cause(err error) error {
 // the results and returns the error of the lowest failing index. A task
 // that panics does not kill the process; the panic is contained and
 // reported as a *PanicError at that task's index, competing for
-// lowest-index like any other error. The first observed failure cancels
-// the sweep — no new chunks are claimed — but already-claimed chunks run
-// to completion (or to their own, lower-index error), which is what
-// makes the lowest-index guarantee hold: chunks are claimed
-// monotonically, so every index below a failing one is either complete
-// or inside a claimed chunk whose worker will still visit it when the
-// failure is recorded.
+// lowest-index like any other error. The first observed failure stops
+// the sweep — no new chunks are claimed — but claimed chunks run to
+// completion (or to their own error), and because chunks are claimed
+// in index order every index below a failing one is either complete or
+// claimed: the lowest-index guarantee holds.
 //
-// The sweep also stops claiming new indices once ctx is canceled or its
-// deadline passes (in-flight evaluations finish), and fn receives the
-// context so individual tasks can honor it too. A task error takes
-// precedence over a cancellation; a cancellation with no task failure
-// returns ctx.Err(). A context that fires only after every task
-// completed is a success.
+// The sweep also stops claiming once ctx is canceled or its deadline
+// passes (claimed chunks finish), and fn receives the context so
+// individual tasks can honor it too. A task error takes precedence
+// over a cancellation; a cancellation with no task failure returns
+// ctx.Err(). A context that fires only after every chunk was claimed
+// is a success.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(context.Context, int) (T, error)) ([]T, error) {
 	if err := checkArgs(n, fn == nil); err != nil {
 		return nil, err
 	}
-	out, oc := mapEngine(ctx, workers, n, fn)
-	if oc.cause != nil {
-		return nil, oc.cause
+	out, pe := collect(ctx, workers, n, fn)
+	if pe != nil {
+		return nil, pe.Cause
 	}
 	return out, nil
 }
 
 // MapPartial is the best-effort MapCtx: instead of discarding a
 // partially completed sweep it returns the full-length result slice
-// plus a *PartialError describing what is missing and why. Entries at
-// indices where PartialError.Completed is false are zero values. A
-// complete sweep returns a nil error; argument errors (negative n, nil
-// fn) are returned as plain errors with no results.
+// plus a *PartialError saying how long its valid prefix is and why the
+// rest is missing. A complete sweep returns a nil error; argument
+// errors (negative n, nil fn) are returned as plain errors with no
+// results.
 func MapPartial[T any](ctx context.Context, workers, n int, fn func(context.Context, int) (T, error)) ([]T, error) {
 	if err := checkArgs(n, fn == nil); err != nil {
 		return nil, err
 	}
-	out, oc := mapEngine(ctx, workers, n, fn)
-	if oc.cause != nil {
-		return out, &PartialError{
-			Cause:        oc.cause,
-			Index:        oc.causeIdx,
-			Completed:    oc.completed,
-			NumCompleted: oc.nDone,
-		}
+	out, pe := collect(ctx, workers, n, fn)
+	if pe != nil {
+		return out, pe
 	}
 	return out, nil
 }

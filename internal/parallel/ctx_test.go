@@ -65,9 +65,13 @@ func TestMapCtxCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
 		const n = 10_000
-		out, err := MapCtx(ctx, workers, n, func(_ context.Context, i int) (int, error) {
-			if calls.Add(1) == 8 {
+		out, err := MapCtx(ctx, workers, n, func(ctx context.Context, i int) (int, error) {
+			// Tasks after the eighth wait for the cancel, so no chunk
+			// completes before it however the goroutines are scheduled.
+			if c := calls.Add(1); c == 8 {
 				cancel()
+			} else if c > 8 {
+				<-ctx.Done()
 			}
 			return i, nil
 		})
@@ -109,8 +113,8 @@ func TestMapCtxCompletesDespiteLateCancel(t *testing.T) {
 }
 
 func TestMapPartialKeepsCompletedWork(t *testing.T) {
-	// Best-effort mode: a mid-grid failure keeps everything that
-	// finished and reports the rest through a structured PartialError.
+	// Best-effort mode: a mid-grid failure keeps the completed prefix
+	// and reports the rest through a structured PartialError.
 	for _, workers := range []int{1, 4} {
 		out, err := MapPartial(context.Background(), workers, 40,
 			func(_ context.Context, i int) (int, error) {
@@ -126,27 +130,69 @@ func TestMapPartialKeepsCompletedWork(t *testing.T) {
 		if pe.Index != 25 || pe.Cause.Error() != "bad point" {
 			t.Fatalf("workers=%d: cause = (%d, %v)", workers, pe.Index, pe.Cause)
 		}
-		if len(out) != 40 || len(pe.Completed) != 40 {
-			t.Fatalf("workers=%d: lengths %d/%d, want 40", workers, len(out), len(pe.Completed))
+		if len(out) != 40 || pe.Total != 40 || pe.NumCompleted != 25 {
+			t.Fatalf("workers=%d: len=%d total=%d done=%d, want 40/40/25",
+				workers, len(out), pe.Total, pe.NumCompleted)
 		}
-		// Every index below the failing one must be complete (the
-		// sequential-equivalence guarantee), and completed entries must
-		// hold their computed values.
-		done := 0
-		for i, ok := range pe.Completed {
-			if i < 25 && !ok {
-				t.Fatalf("workers=%d: index %d below failure not completed", workers, i)
+		// The valid prefix holds the computed values; everything from the
+		// failing index on is a zero value.
+		for i, v := range out {
+			want := 0
+			if i < pe.NumCompleted {
+				want = i * 2
 			}
-			if ok {
-				done++
-				if out[i] != i*2 {
-					t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], i*2)
+			if v != want {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, want)
+			}
+		}
+		if !strings.Contains(err.Error(), "(25/40 tasks done)") {
+			t.Fatalf("workers=%d: err = %q", workers, err)
+		}
+	}
+}
+
+// TestMapPartialFailureIsWorkerInvariant: a best-effort sweep whose
+// failing task is slow — task 25 waits for task 39 to finish, with a
+// timeout in case 39 never runs — returns the same result at one
+// worker and at four. Points past the failure are never reported as
+// completed, even when another worker could have computed them while
+// the failing task stalled.
+func TestMapPartialFailureIsWorkerInvariant(t *testing.T) {
+	const n, fail, late = 40, 25, 39
+	sweep := func(workers int) ([]int, *PartialError) {
+		lateDone := make(chan struct{})
+		out, err := MapPartial(context.Background(), workers, n,
+			func(_ context.Context, i int) (int, error) {
+				switch i {
+				case fail:
+					select {
+					case <-lateDone:
+					case <-time.After(100 * time.Millisecond):
+					}
+					return 0, errors.New("bad point")
+				case late:
+					defer close(lateDone)
 				}
-			}
+				return i + 1, nil
+			})
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
 		}
-		if pe.Completed[25] || done != pe.NumCompleted {
-			t.Fatalf("workers=%d: bitmap inconsistent (done=%d, NumCompleted=%d)",
-				workers, done, pe.NumCompleted)
+		return out, pe
+	}
+	seqOut, seqPE := sweep(1)
+	parOut, parPE := sweep(4)
+	if seqPE.NumCompleted != fail || parPE.NumCompleted != fail {
+		t.Fatalf("NumCompleted = %d (1 worker) / %d (4 workers), want %d",
+			seqPE.NumCompleted, parPE.NumCompleted, fail)
+	}
+	if seqPE.Index != parPE.Index || seqPE.Error() != parPE.Error() {
+		t.Fatalf("errors differ: %v / %v", seqPE, parPE)
+	}
+	for i := range seqOut {
+		if seqOut[i] != parOut[i] {
+			t.Fatalf("out[%d] = %d (1 worker) / %d (4 workers)", i, seqOut[i], parOut[i])
 		}
 	}
 }

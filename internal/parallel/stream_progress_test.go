@@ -25,11 +25,11 @@ func withProgress(t *testing.T, total int64) *telemetry.Progress {
 // /progress endpoint serves: after a full stream the tracker's rows
 // equal n and its chunks equal the chunk count, at any worker count.
 func TestStreamCtxProgressWorkerInvariant(t *testing.T) {
-	const n, chunk = 1000, 64
-	nChunks := (n + chunk - 1) / chunk
+	const n = 1000
+	nChunks := (n + ChunkSize(n) - 1) / ChunkSize(n)
 	for _, workers := range []int{1, 3, 8} {
 		p := withProgress(t, n)
-		_, err := collectStream(t, context.Background(), workers, n, chunk,
+		_, err := collectStream(t, context.Background(), workers, n, 0,
 			func(_ context.Context, i int) (int, error) { return i, nil })
 		if err != nil {
 			t.Fatalf("w=%d: %v", workers, err)
@@ -51,11 +51,11 @@ func TestStreamCtxProgressWorkerInvariant(t *testing.T) {
 // turn the tracker has accounted exactly the rows of all prior chunks:
 // emission order is row order, so progress rows always equal lo.
 func TestStreamCtxProgressMonotonicInEmit(t *testing.T) {
-	const n, chunk = 500, 32
+	const n = 500
 	for _, workers := range []int{1, 4} {
 		p := withProgress(t, n)
 		var last int64
-		err := StreamCtx(context.Background(), workers, n, chunk,
+		err := StreamCtx(context.Background(), workers, n,
 			func(_ context.Context, i int) (int, error) { return i, nil },
 			func(lo int, vals []int) error {
 				ps := p.Snapshot()
@@ -77,13 +77,15 @@ func TestStreamCtxProgressMonotonicInEmit(t *testing.T) {
 // TestStreamCtxProgressCancelMatchesEmitted checks the cancel contract
 // the trailer consistency test in core relies on: after a canceled
 // stream, the tracker's rows equal exactly the rows the sink received.
+// The cancel lands in the first emission, so with 512-row chunks at
+// most workers of them are claimed and the stream cannot complete.
 func TestStreamCtxProgressCancelMatchesEmitted(t *testing.T) {
-	const n, chunk, cancelAt = 2000, 16, 300
+	const n, cancelAt = 20_000, 300
 	for _, workers := range []int{1, 4} {
 		p := withProgress(t, n)
 		ctx, cancel := context.WithCancel(context.Background())
 		emitted := 0
-		err := StreamCtx(ctx, workers, n, chunk,
+		err := StreamCtx(ctx, workers, n,
 			func(_ context.Context, i int) (int, error) { return i, nil },
 			func(lo int, vals []int) error {
 				emitted += len(vals)
@@ -105,11 +107,11 @@ func TestStreamCtxProgressCancelMatchesEmitted(t *testing.T) {
 // TestStreamCtxProgressErrorMatchesEmitted: a failing task stops the
 // stream after the prefix flush, and the tracker agrees with the sink.
 func TestStreamCtxProgressErrorMatchesEmitted(t *testing.T) {
-	const n, chunk, fail = 400, 16, 133
+	const n, fail = 400, 133
 	for _, workers := range []int{1, 4} {
 		p := withProgress(t, n)
 		emitted := 0
-		err := StreamCtx(context.Background(), workers, n, chunk,
+		err := StreamCtx(context.Background(), workers, n,
 			func(_ context.Context, i int) (int, error) {
 				if i == fail {
 					return 0, fmt.Errorf("task %d failed", i)

@@ -6,24 +6,39 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"twocs/internal/telemetry"
 )
 
-// collectStream runs StreamCtx and concatenates everything emitted,
+// collectStream streams n tasks and concatenates everything emitted,
 // checking the chunk contract as it goes: lo values strictly increasing
-// and contiguous with the rows received so far.
+// and contiguous with the rows received so far. chunk <= 0 runs
+// StreamCtx itself (chunks of ChunkSize(n)); a positive chunk drives
+// the engine directly at that size.
 func collectStream(t *testing.T, ctx context.Context, workers, n, chunk int, fn func(context.Context, int) (int, error)) ([]int, error) {
 	t.Helper()
 	var got []int
-	err := StreamCtx(ctx, workers, n, chunk, fn, func(lo int, vals []int) error {
+	want := chunk
+	if want <= 0 {
+		want = ChunkSize(n)
+	}
+	emit := func(lo int, vals []int) error {
 		if lo != len(got) {
 			t.Fatalf("emit at lo=%d, want %d (rows must be contiguous and in order)", lo, len(got))
 		}
-		if chunk > 0 && len(vals) > chunk {
-			t.Fatalf("emit delivered %d rows, chunk is %d", len(vals), chunk)
+		if len(vals) > want {
+			t.Fatalf("emit delivered %d rows, chunk is %d", len(vals), want)
 		}
 		got = append(got, vals...)
 		return nil
-	})
+	}
+	var err error
+	if chunk <= 0 {
+		err = StreamCtx(ctx, workers, n, fn, emit)
+	} else {
+		err = run(ctx, workers, n, chunk, telemetry.ActiveProgress(), nil, fn, emit)
+	}
 	return got, err
 }
 
@@ -111,9 +126,13 @@ func TestStreamCtxCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		fn := func(_ context.Context, i int) (int, error) {
-			if ran.Add(1) == 50 {
+		fn := func(ctx context.Context, i int) (int, error) {
+			// Tasks after the fiftieth wait for the cancel, so the stream
+			// cannot run ahead of it however the goroutines are scheduled.
+			if c := ran.Add(1); c == 50 {
 				cancel()
+			} else if c > 50 {
+				<-ctx.Done()
 			}
 			return i, nil
 		}
@@ -163,7 +182,7 @@ func TestStreamCtxEmitError(t *testing.T) {
 	sinkErr := errors.New("sink full")
 	for _, workers := range []int{1, 4} {
 		calls := 0
-		err := StreamCtx(context.Background(), workers, 1000, 16,
+		err := StreamCtx(context.Background(), workers, 1000,
 			func(_ context.Context, i int) (int, error) { return i, nil },
 			func(lo int, vals []int) error {
 				calls++
@@ -179,18 +198,55 @@ func TestStreamCtxEmitError(t *testing.T) {
 }
 
 func TestStreamCtxArgErrors(t *testing.T) {
-	if err := StreamCtx(context.Background(), 1, -1, 0,
+	if err := StreamCtx(context.Background(), 1, -1,
 		func(_ context.Context, i int) (int, error) { return 0, nil },
 		func(int, []int) error { return nil }); err == nil {
 		t.Fatal("negative n accepted")
 	}
-	if err := StreamCtx[int](context.Background(), 1, 1, 0, nil,
+	if err := StreamCtx[int](context.Background(), 1, 1, nil,
 		func(int, []int) error { return nil }); err == nil {
 		t.Fatal("nil fn accepted")
 	}
-	if err := StreamCtx(context.Background(), 1, 1, 0,
+	if err := StreamCtx(context.Background(), 1, 1,
 		func(_ context.Context, i int) (int, error) { return 0, nil }, nil); err == nil {
 		t.Fatal("nil emit accepted")
+	}
+}
+
+// TestStreamCtxEmitPanicReachesCaller: a panic inside emit surfaces on
+// StreamCtx's own goroutine with its original value — at every worker
+// count, and also when a worker would otherwise be mid-chunk — so a
+// caller can recover it (net/http does, for http.ErrAbortHandler).
+func TestStreamCtxEmitPanicReachesCaller(t *testing.T) {
+	type boom struct{ chunk int }
+	const n = 16 * 512 // sixteen 512-row chunks
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_ = StreamCtx(context.Background(), workers, n,
+				func(_ context.Context, i int) (int, error) {
+					ran.Add(1)
+					return i, nil
+				},
+				func(lo int, vals []int) error {
+					if c := lo / len(vals); c == 2 {
+						panic(boom{c})
+					}
+					return nil
+				})
+			return nil
+		}()
+		if got != (boom{2}) {
+			t.Fatalf("w=%d: recovered %v, want the emit panic's own value", workers, got)
+		}
+		// The workers stopped before StreamCtx unwound: nothing runs
+		// after the caller recovered.
+		after := ran.Load()
+		time.Sleep(10 * time.Millisecond)
+		if ran.Load() != after {
+			t.Fatalf("w=%d: tasks still running after the panic reached the caller", workers)
+		}
 	}
 }
 
@@ -199,7 +255,7 @@ func TestStreamCtxArgErrors(t *testing.T) {
 func BenchmarkStreamCtx(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		err := StreamCtx(context.Background(), 4, 100_000, 0,
+		err := StreamCtx(context.Background(), 4, 100_000,
 			func(_ context.Context, i int) (int64, error) { return int64(i), nil },
 			func(lo int, vals []int64) error { return nil })
 		if err != nil {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -8,25 +9,22 @@ import (
 // Turns serializes concurrent producers into a strict turn order: the
 // goroutine holding turn i runs its critical section before any holder
 // of turn i+1 may start, regardless of which finished producing first.
-// It is the ordered-emission primitive StreamCtx uses to turn unordered
-// chunk completion into in-order delivery, exported so higher layers
-// (the shard fan-out coordinator) can reuse the exact same semantics one
-// level up: shards stream concurrently, rows leave in global grid order.
+// The shard fan-out coordinator uses it to turn unordered shard
+// completion into in-order delivery: shards stream concurrently, rows
+// leave in global grid order.
 //
 // Turn indices must be claimed contiguously from 0 — every index below
 // the highest one passed to Do must eventually be passed to Do by some
-// goroutine, or later turns wait forever. StreamCtx and the shard
-// coordinator guarantee this by claiming work from a monotone counter
-// and always taking the claimed turn, error or not.
+// goroutine, or later turns wait forever. The shard coordinator
+// guarantees this by claiming work from a monotone counter and always
+// taking the claimed turn, error or not.
 type Turns struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// turn is the next index allowed to run; guarded by mu.
 	turn int
-	// aborted records that some turn's f returned an error; later turns
-	// are refused. Guarded by mu.
-	aborted bool
-	// err is the first error in turn (= index) order; guarded by mu.
+	// err is the first error in turn (= index) order; once set, later
+	// turns are refused. Guarded by mu.
 	err error
 }
 
@@ -44,27 +42,32 @@ func NewTurns() *Turns {
 // returned the error that aborted it. Because turns run in index order,
 // the first recorded error is the lowest-index error — the
 // sequential-equivalent error semantics of the sweep engine.
+//
+// A panic in f aborts the sequence like an error does, releasing every
+// waiter, and then continues to Do's caller with its original value.
 func (t *Turns) Do(turn int, f func() error) (wait time.Duration, ok bool) {
 	start := time.Now()
 	t.mu.Lock()
-	for t.turn != turn && !t.aborted {
+	defer t.mu.Unlock()
+	for t.turn != turn && t.err == nil {
 		t.cond.Wait()
 	}
 	wait = time.Since(start)
-	if t.aborted {
-		t.mu.Unlock()
+	if t.err != nil {
 		return wait, false
 	}
+	defer t.cond.Broadcast()
+	defer func() {
+		if r := recover(); r != nil {
+			t.err = fmt.Errorf("parallel: turn %d panicked: %v", turn, r)
+			panic(r)
+		}
+	}()
 	if err := f(); err != nil {
 		t.err = err
-		t.aborted = true
-		t.cond.Broadcast()
-		t.mu.Unlock()
 		return wait, false
 	}
 	t.turn++
-	t.cond.Broadcast()
-	t.mu.Unlock()
 	return wait, true
 }
 
@@ -73,13 +76,6 @@ func (t *Turns) Done() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.turn
-}
-
-// Aborted reports whether some turn's f returned an error.
-func (t *Turns) Aborted() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.aborted
 }
 
 // Err returns the error that aborted the sequence, nil if none did.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestTurnsOrder launches one goroutine per turn in shuffled start order
@@ -43,8 +44,8 @@ func TestTurnsOrder(t *testing.T) {
 			t.Fatalf("turn order got[%d] = %d", i, v)
 		}
 	}
-	if turns.Done() != n || turns.Aborted() || turns.Err() != nil {
-		t.Fatalf("final state: done=%d aborted=%v err=%v", turns.Done(), turns.Aborted(), turns.Err())
+	if turns.Done() != n || turns.Err() != nil {
+		t.Fatalf("final state: done=%d err=%v", turns.Done(), turns.Err())
 	}
 }
 
@@ -84,9 +85,6 @@ func TestTurnsAbort(t *testing.T) {
 	if turns.Done() != failAt {
 		t.Fatalf("Done() = %d, want %d", turns.Done(), failAt)
 	}
-	if !turns.Aborted() {
-		t.Fatal("not aborted")
-	}
 	want := fmt.Sprintf("turn %d failed", failAt)
 	if turns.Err() == nil || turns.Err().Error() != want {
 		t.Fatalf("Err() = %v, want %q", turns.Err(), want)
@@ -110,5 +108,41 @@ func TestTurnsAbortReleasesWaiters(t *testing.T) {
 	}
 	if !errors.Is(turns.Err(), boom) {
 		t.Fatalf("Err() = %v", turns.Err())
+	}
+}
+
+// TestTurnsPanicReleasesWaiters: a panic inside a turn's f reaches that
+// turn's caller with its original value, and the sequence is aborted —
+// the lock is released and a waiter for the next turn is refused
+// instead of blocking forever.
+func TestTurnsPanicReleasesWaiters(t *testing.T) {
+	turns := NewTurns()
+	type boom struct{}
+	next := make(chan bool)
+	go func() {
+		_, ok := turns.Do(1, func() error {
+			t.Error("turn after a panicking turn must not run")
+			return nil
+		})
+		next <- ok
+	}()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		turns.Do(0, func() error { panic(boom{}) })
+		return nil
+	}()
+	if got != (boom{}) {
+		t.Fatalf("recovered %v, want the turn's own panic value", got)
+	}
+	select {
+	case ok := <-next:
+		if ok {
+			t.Fatal("turn after a panicking turn reported ok")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter for the next turn still blocked after a panicking turn")
+	}
+	if turns.Err() == nil || turns.Done() != 0 {
+		t.Fatalf("after panic: done=%d err=%v", turns.Done(), turns.Err())
 	}
 }

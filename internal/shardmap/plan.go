@@ -6,8 +6,8 @@
 // NDJSON artifact (rows and trailer alike) is byte-identical to a
 // single-node sweep at any replica count. It is parallel.StreamCtx's
 // ordered-emitter discipline lifted one level: replicas play the role
-// of workers, shards the role of chunks, and the same turn-taking
-// sequencer (parallel.Turns) enforces emission order.
+// of workers, shards the role of chunks, and a turn-taking sequencer
+// (parallel.Turns) enforces emission order.
 //
 // Failure handling is per shard: a replica answering 429/503 backs off
 // (honoring Retry-After), a replica that stops answering is retired,
